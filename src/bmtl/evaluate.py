@@ -42,47 +42,30 @@ from .syntax import (
     Since,
     Top,
     Until,
+    fold,
     temporal_reach,
 )
 from .traces import Trace
 
+# node class -> clause(node, operand truth sets, trace, horizon as a set)
+_CLAUSES = {
+    Pred: lambda n, k, tr, h: tr.truth_base(n.name),
+    Top: lambda n, k, tr, h: h,
+    # clip first: dilated subsets may poke beyond the horizon
+    Not: lambda n, k, tr, h: k[0].intersect(h).complement_within(tr.horizon),
+    And: lambda n, k, tr, h: k[0].intersect(k[1]),
+    DiaMinus: lambda n, k, tr, h: k[0].dilate(n.bound.lo, n.bound.hi),
+    DiaPlus: lambda n, k, tr, h: k[0].dilate(-n.bound.hi, -n.bound.lo),
+    BoxMinus: lambda n, k, tr, h: k[0].erode(n.bound.lo, n.bound.hi, "past"),
+    BoxPlus: lambda n, k, tr, h: k[0].erode(n.bound.lo, n.bound.hi, "future"),
+    Since: lambda n, k, tr, h: _binary_clause(k[0], k[1], n.bound.lo, n.bound.hi),
+    Until: lambda n, k, tr, h: _binary_clause(k[0], k[1], -n.bound.hi, -n.bound.lo),
+}
+
 
 def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
-    horizon_set = from_interval(tr.horizon)
-    memo: dict[Formula, IntervalSet] = {}
-
-    def ev(node: Formula) -> IntervalSet:
-        got = memo.get(node)
-        if got is not None:
-            return got
-        if isinstance(node, Pred):
-            out = tr.truth_base(node.name)
-        elif isinstance(node, Top):
-            out = horizon_set
-        elif isinstance(node, Not):
-            # clip first: dilated subsets may poke beyond the horizon
-            inside = ev(node.body).intersect(horizon_set)
-            out = inside.complement_within(tr.horizon)
-        elif isinstance(node, And):
-            out = ev(node.left).intersect(ev(node.right))
-        elif isinstance(node, DiaMinus):
-            out = ev(node.body).dilate(node.bound.lo, node.bound.hi)
-        elif isinstance(node, DiaPlus):
-            out = ev(node.body).dilate(-node.bound.hi, -node.bound.lo)
-        elif isinstance(node, BoxMinus):
-            out = ev(node.body).erode(node.bound.lo, node.bound.hi, "past")
-        elif isinstance(node, BoxPlus):
-            out = ev(node.body).erode(node.bound.lo, node.bound.hi, "future")
-        elif isinstance(node, Since):
-            out = _binary_clause(ev(node.left), ev(node.right), node.bound.lo, node.bound.hi)
-        elif isinstance(node, Until):
-            out = _binary_clause(ev(node.left), ev(node.right), -node.bound.hi, -node.bound.lo)
-        else:
-            raise TypeError(f"not a formula node: {node!r}")
-        memo[node] = out
-        return out
-
-    return ev(f)
+    horizon = from_interval(tr.horizon)
+    return fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, tr, horizon))
 
 
 def _binary_clause(holds: IntervalSet, witness: IntervalSet, shift_lo, shift_hi) -> IntervalSet:

@@ -32,20 +32,7 @@ from .evaluate import combined_reliable_region, eval_truth_set
 from .intervals import Interval, IntervalSet, from_interval, rat
 from .oracle import oracle_eval_many
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
-from .syntax import (
-    And,
-    Bound,
-    BoxMinus,
-    BoxPlus,
-    DiaMinus,
-    DiaPlus,
-    Formula,
-    Pred,
-    Since,
-    Top,
-    Until,
-    print_formula,
-)
+from .syntax import KINDS_BY_NAME, Bound, BoxMinus, BoxPlus, Formula, Pred, print_formula
 from .traces import Fact, Trace, format_trace
 
 _MASK = (1 << 64) - 1
@@ -118,12 +105,6 @@ def _mitl_box_bound(cfg: GenConfig, rng: random.Random) -> Bound:
     return Bound(Fraction(n1, d), Fraction(n2, d))
 
 
-def _box_bound(cfg: GenConfig, rng: random.Random, box_bounds: str, singleton_free: bool) -> Bound:
-    if box_bounds == "mitl":
-        return _mitl_box_bound(cfg, rng)
-    return _any_bound(cfg, rng, singleton_free)
-
-
 _LEAF_W = [("pred", 0.85), ("top", 0.15)]
 _NODE_W = [
     ("pred", 0.15),
@@ -163,22 +144,15 @@ def gen_formula(
     rng = _stream(cfg.seed, _TAG_FORMULA, stream_index)
 
     def go(budget: int) -> Formula:
-        kind = _pick(rng, _LEAF_W if budget == 0 else _NODE_W)
-        if kind == "pred":
+        kind = KINDS_BY_NAME[_pick(rng, _LEAF_W if budget == 0 else _NODE_W)]
+        if kind.cls is Pred:
             return Pred(rng.choice(cfg.predicate_pool))
-        if kind == "top":
-            return Top()
-        if kind == "and":
-            return And(go(budget - 1), go(budget - 1))
-        if kind in ("bplus", "bminus"):
-            bound = _box_bound(cfg, rng, box_bounds, singleton_free)
-            return (BoxPlus if kind == "bplus" else BoxMinus)(bound, go(budget - 1))
-        if kind in ("dplus", "dminus"):
+        bound = None
+        if kind.cls in (BoxPlus, BoxMinus) and box_bounds == "mitl":
+            bound = _mitl_box_bound(cfg, rng)
+        elif kind.bounded:
             bound = _any_bound(cfg, rng, singleton_free)
-            return (DiaPlus if kind == "dplus" else DiaMinus)(bound, go(budget - 1))
-        bound = _any_bound(cfg, rng, singleton_free)
-        cls = Since if kind == "since" else Until
-        return cls(go(budget - 1), bound, go(budget - 1))
+        return kind.make([go(budget - 1) for _ in kind.children], bound)
 
     return go(cfg.max_depth)
 

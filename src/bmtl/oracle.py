@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import partial
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -45,6 +46,7 @@ from .syntax import (
     Top,
     Until,
     all_bounds,
+    fold,
     temporal_reach,
 )
 from .traces import Trace
@@ -70,8 +72,8 @@ def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
 
     scale = 4 * _common_denominator(f, tr, pts)
     xs = _sample_grid(f, tr, scale)
-    truth = _TruthTable(f, tr, xs, scale)
-    root = truth.array(f)
+    table = _TruthTable(tr, xs, scale)
+    root = fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
     out = []
     for p in pts:
         idx = int(np.searchsorted(xs, _scaled(p, scale)))
@@ -113,14 +115,14 @@ def _sample_grid(f: Formula, tr: Trace, scale: int):
 
 
 class _TruthTable:
-    """Bottom-up truth arrays over the sample grid, memoized per node."""
+    """Truth arrays over the sample grid, one node at a time from its
+    operands' arrays; fold supplies the operands bottom-up."""
 
-    def __init__(self, f: Formula, tr: Trace, xs, scale: int):
+    def __init__(self, tr: Trace, xs, scale: int):
         self.tr = tr
         self.xs = xs
         self.n = len(xs)
         self.scale = scale
-        self.memo: dict[Formula, np.ndarray] = {}
         self.horizon_mask = self._span_mask(
             _scaled(tr.horizon.lo, scale), _scaled(tr.horizon.hi, scale)
         )
@@ -132,35 +134,15 @@ class _TruthTable:
         mask[left:right] = True
         return mask
 
-    def array(self, node: Formula) -> np.ndarray:
-        got = self.memo.get(node)
-        if got is not None:
-            return got
-        out = self._compute(node)
-        self.memo[node] = out
-        return out
-
-    def _compute(self, node: Formula) -> np.ndarray:
-        if isinstance(node, Pred):
-            mask = np.zeros(self.n, dtype=bool)
-            for fact in self.tr.facts:
-                if fact.predicate == node.name:
-                    mask |= self._span_mask(
-                        _scaled(fact.span.lo, self.scale),
-                        _scaled(fact.span.hi, self.scale),
-                    )
-            return mask
-        if isinstance(node, Top):
-            return self.horizon_mask
-        if isinstance(node, Not):
-            return self.horizon_mask & ~self.array(node.body)
-        if isinstance(node, And):
-            return self.array(node.left) & self.array(node.right)
-        if isinstance(node, (DiaMinus, DiaPlus, BoxMinus, BoxPlus)):
-            return self._window_quantifier(node)
-        if isinstance(node, (Since, Until)):
-            return self._witness_scan(node)
-        raise TypeError(f"not a formula node: {node!r}")
+    def predicate(self, node: Pred, kids) -> np.ndarray:
+        mask = np.zeros(self.n, dtype=bool)
+        for fact in self.tr.facts:
+            if fact.predicate == node.name:
+                mask |= self._span_mask(
+                    _scaled(fact.span.lo, self.scale),
+                    _scaled(fact.span.hi, self.scale),
+                )
+        return mask
 
     def _window_edges(self, bound, past: bool):
         b1 = _scaled(bound.lo, self.scale)
@@ -173,33 +155,44 @@ class _TruthTable:
         right = np.searchsorted(self.xs, hi_vals, side="right")
         return left, right
 
-    def _window_quantifier(self, node) -> np.ndarray:
-        child = self.array(node.body)
-        past = isinstance(node, (DiaMinus, BoxMinus))
+    def window_quantifier(self, node, kids, past: bool, universal: bool) -> np.ndarray:
         left, right = self._window_edges(node.bound, past)
-        prefix = np.concatenate(([0], np.cumsum(child.astype(np.int64))))
+        prefix = np.concatenate(([0], np.cumsum(kids[0].astype(np.int64))))
         count = prefix[right] - prefix[left]
-        if isinstance(node, (DiaMinus, DiaPlus)):
-            return count > 0
-        # universal: every grid point in the window satisfies the body
-        return count == (right - left)
+        if universal:
+            # every grid point in the window satisfies the body
+            return count == (right - left)
+        return count > 0
 
-    def _witness_scan(self, node) -> np.ndarray:
+    def witness_scan(self, node, kids, past: bool) -> np.ndarray:
         """Since/until: a witness in the window with the left operand
         true at every grid point between the witness and the query
         point, both ends included."""
-        holds = self.array(node.left)
-        witness = self.array(node.right)
+        holds, witness = kids
         false_prefix = np.concatenate(([0], np.cumsum((~holds).astype(np.int64))))
         wit_prefix = np.concatenate(([0], np.cumsum(witness.astype(np.int64))))
-        if isinstance(node, Since):
-            left, right = self._window_edges(node.bound, past=True)
+        left, right = self._window_edges(node.bound, past)
+        if past:
             # smallest index j such that holds[j..i] is all true
             reach_back = np.searchsorted(false_prefix, false_prefix[1:], side="left")
             start = np.maximum(left, reach_back)
             return (right > start) & (wit_prefix[right] - wit_prefix[start] > 0)
-        left, right = self._window_edges(node.bound, past=False)
         # one past the largest index j such that holds[i..j] is all true
         reach_fwd = np.searchsorted(false_prefix, false_prefix[:-1], side="right") - 1
         end = np.minimum(right, reach_fwd)
         return (end > left) & (wit_prefix[end] - wit_prefix[left] > 0)
+
+
+# node class -> array(table, node, operand arrays)
+_ARRAYS = {
+    Pred: _TruthTable.predicate,
+    Top: lambda t, n, k: t.horizon_mask,
+    Not: lambda t, n, k: t.horizon_mask & ~k[0],
+    And: lambda t, n, k: k[0] & k[1],
+    DiaMinus: partial(_TruthTable.window_quantifier, past=True, universal=False),
+    DiaPlus: partial(_TruthTable.window_quantifier, past=False, universal=False),
+    BoxMinus: partial(_TruthTable.window_quantifier, past=True, universal=True),
+    BoxPlus: partial(_TruthTable.window_quantifier, past=False, universal=True),
+    Since: partial(_TruthTable.witness_scan, past=True),
+    Until: partial(_TruthTable.witness_scan, past=False),
+}

@@ -14,7 +14,8 @@ Grammar (whitespace insignificant, ``#`` starts a line comment):
 
 Since/until are only legal inside parentheses, so no precedence between
 "&" and the binary operators ever arises.  Conjunction associates to
-the left.
+the left.  Prefix chains of any length parse in a loop; parentheses may
+nest at most MAX_PAREN_DEPTH deep.
 """
 
 from __future__ import annotations
@@ -24,20 +25,7 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from .errors import BmtlError, ParseError
-from .syntax import (
-    And,
-    Bound,
-    BoxMinus,
-    BoxPlus,
-    DiaMinus,
-    DiaPlus,
-    Formula,
-    Not,
-    Pred,
-    Since,
-    Top,
-    Until,
-)
+from .syntax import NODE_TABLE, And, Bound, Formula, Pred, Top
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>[ \t\r]+)
@@ -50,8 +38,15 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
-_KEYWORDS = {"bplus", "bminus", "dplus", "dminus", "true", "S", "U"}
-_UNARY_OPS = {"bplus": BoxPlus, "bminus": BoxMinus, "dplus": DiaPlus, "dminus": DiaMinus}
+_KEYWORDS = {k.keyword for k in NODE_TABLE if k.keyword and k.keyword.isalpha()}
+# prefix operators ("!" and the bounded unary keywords) and the bounded
+# binary keywords, each mapped to its row of the node table
+_PREFIX_OPS = {k.keyword: k for k in NODE_TABLE if len(k.children) == 1}
+_BINARY_OPS = {k.keyword: k for k in NODE_TABLE if len(k.children) == 2 and k.bounded}
+
+# Parentheses nest by recursion (three frames a level), so their depth is
+# capped well inside the interpreter's default recursion limit.
+MAX_PAREN_DEPTH = 200
 
 
 class Token(NamedTuple):
@@ -92,6 +87,7 @@ class _Parser:
     def __init__(self, tokens: list[Token], text: str):
         self.tokens = tokens
         self.pos = 0
+        self.paren_depth = 0
         # final position for end-of-input diagnostics
         nlines = text.count("\n") + 1
         last = text.rsplit("\n", 1)[-1]
@@ -127,17 +123,20 @@ class _Parser:
                 return node
 
     def unary(self) -> Formula:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("expected a formula, found end of input", *self.end)
-        if tok.kind == "kw" and tok.text in _UNARY_OPS:
+        prefix = []
+        while True:
+            tok = self.peek()
+            if tok is None:
+                raise ParseError("expected a formula, found end of input", *self.end)
+            kind = _PREFIX_OPS.get(tok.text) if tok.kind in ("kw", "!") else None
+            if kind is None:
+                break
             self.next()
-            bound = self.bound()
-            return _UNARY_OPS[tok.text](bound, self.unary())
-        if tok.kind == "!":
-            self.next()
-            return Not(self.unary())
-        return self.atom()
+            prefix.append((kind, self.bound() if kind.bounded else None))
+        node = self.atom()
+        for kind, bound in reversed(prefix):
+            node = kind.make((node,), bound)
+        return node
 
     def atom(self) -> Formula:
         tok = self.next()
@@ -146,16 +145,19 @@ class _Parser:
         if tok.kind == "ident":
             return Pred(tok.text)
         if tok.kind == "(":
+            if self.paren_depth == MAX_PAREN_DEPTH:
+                raise ParseError(
+                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok.line, tok.column
+                )
+            self.paren_depth += 1
             left = self.formula()
             nxt = self.peek()
-            if nxt is not None and nxt.kind == "kw" and nxt.text in ("S", "U"):
+            if nxt is not None and nxt.kind == "kw" and nxt.text in _BINARY_OPS:
                 self.next()
                 bound = self.bound()
-                right = self.formula()
-                self.expect(")", "')'")
-                cls = Since if nxt.text == "S" else Until
-                return cls(left, bound, right)
+                left = _BINARY_OPS[nxt.text].make((left, self.formula()), bound)
             self.expect(")", "')'")
+            self.paren_depth -= 1
             return left
         raise ParseError(f"expected a formula, found {tok.text!r}", tok.line, tok.column)
 

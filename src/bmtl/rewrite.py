@@ -15,7 +15,9 @@ Diamonds themselves reduce to since/until with a true witness.  After
 normalize, a negation-free formula uses only predicates, true,
 conjunction, since and until.
 
-Rule identifiers (used in reports and by replay):
+RULES maps each rule identifier below to its node class, its mode (None:
+both) and its rewrite function; normalize and apply_rule_at both fire
+rules through it, so replay runs exactly the code that produced a log.
 
   R-DIA-F   dplus[l,h] A   ->  (true U[l,h] A)
   R-DIA-P   dminus[l,h] A  ->  (true S[l,h] A)
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from .errors import (
     DegenerateBoundError,
@@ -55,11 +57,6 @@ from .syntax import (
     children,
     replace_children,
 )
-
-# Test-only corruption switch: R-BOXF-P pins the diamond at the window's
-# end instead of its start, which is unsound whenever lo < hi.  Used to
-# prove the campaign harness actually detects broken rewrites.
-_corrupt_punctual_box = False
 
 
 @dataclass(frozen=True)
@@ -101,13 +98,26 @@ class RewriteReport:
     applied: tuple[RuleApplication, ...]
 
 
+# The since/until connective each diamond becomes.
+_DIAMOND_CORE = {DiaPlus: Until, DiaMinus: Since}
+# Per box: the diamond looking its way, then the connectives looking the
+# same way and the other way.
+_BOX_PARTS = {BoxPlus: (DiaPlus, Until, Since), BoxMinus: (DiaMinus, Since, Until)}
+
+
 def rewrite_diamond(f: Formula) -> Formula:
     """Eliminate a root diamond in favor of since/until with a true witness."""
-    if isinstance(f, DiaPlus):
-        return Until(Top(), f.bound, f.body)
-    if isinstance(f, DiaMinus):
-        return Since(Top(), f.bound, f.body)
-    raise NotApplicableError(f"no diamond at the root of {type(f).__name__}")
+    core = _DIAMOND_CORE.get(type(f))
+    if core is None:
+        raise NotApplicableError(f"no diamond at the root of {type(f).__name__}")
+    return core(Top(), f.bound, f.body)
+
+
+def _box_parts(f: Formula) -> tuple[type, type, type]:
+    parts = _BOX_PARTS.get(type(f))
+    if parts is None:
+        raise NotApplicableError(f"no box at the root of {type(f).__name__}")
+    return parts
 
 
 def rewrite_box_punctual(f: Formula) -> Formula:
@@ -117,14 +127,9 @@ def rewrite_box_punctual(f: Formula) -> Formula:
     t+lo, that the body then persists for hi-lo time units (witnessed by
     an until/since whose bound is the singleton [hi-lo, hi-lo]).
     """
-    if not isinstance(f, (BoxPlus, BoxMinus)):
-        raise NotApplicableError(f"no box at the root of {type(f).__name__}")
+    dia, ahead, _ = _box_parts(f)
     lo, hi = f.bound.lo, f.bound.hi
-    width = Bound(hi - lo, hi - lo)
-    pin = Bound(hi, hi) if (_corrupt_punctual_box and isinstance(f, BoxPlus)) else Bound(lo, lo)
-    if isinstance(f, BoxPlus):
-        return DiaPlus(pin, Until(f.body, width, Top()))
-    return DiaMinus(Bound(lo, lo), Since(f.body, width, Top()))
+    return dia(Bound(lo, lo), ahead(f.body, Bound(hi - lo, hi - lo), Top()))
 
 
 def rewrite_box_singleton_free(f: Formula, kappa, lam) -> Formula:
@@ -134,8 +139,7 @@ def rewrite_box_singleton_free(f: Formula, kappa, lam) -> Formula:
     [t + (3lo-hi)/2, t+lo] and one in [t+hi, t + (3hi-lo)/2], jointly
     cover [t+lo, t+hi].  Needs lo < hi, 3*lo >= hi, kappa > 0, lam > 0.
     """
-    if not isinstance(f, (BoxPlus, BoxMinus)):
-        raise NotApplicableError(f"no box at the root of {type(f).__name__}")
+    dia, ahead, behind = _box_parts(f)
     kappa, lam = rat(kappa), rat(lam)
     lo, hi = f.bound.lo, f.bound.hi
     if lo == hi:
@@ -147,22 +151,50 @@ def rewrite_box_singleton_free(f: Formula, kappa, lam) -> Formula:
     if lam <= 0:
         raise NonpositiveSlackError(f"lambda must be positive, got {lam}")
     width = hi - lo
-    near = Bound((3 * lo - hi) / 2, lo)
-    far = Bound(hi, (3 * hi - lo) / 2)
-    fwd = Bound(width, width + kappa)
-    bwd = Bound(width, width + lam)
-    if isinstance(f, BoxPlus):
-        return And(
-            DiaPlus(near, Until(f.body, fwd, Top())),
-            DiaPlus(far, Since(f.body, bwd, Top())),
-        )
+    # until persists with slack kappa, since with slack lambda
+    persist = {Until: Bound(width, width + kappa), Since: Bound(width, width + lam)}
     return And(
-        DiaMinus(near, Since(f.body, bwd, Top())),
-        DiaMinus(far, Until(f.body, fwd, Top())),
+        dia(Bound((3 * lo - hi) / 2, lo), ahead(f.body, persist[ahead], Top())),
+        dia(Bound(hi, (3 * hi - lo) / 2), behind(f.body, persist[behind], Top())),
     )
 
 
-def _resolve_slack(mode: SingletonFree, bound: Bound) -> tuple[Fraction, Fraction]:
+class Rule(NamedTuple):
+    """The node class a rule rewrites, its mode (None: every mode) and
+    rewrite(node, application) -> the rewritten node."""
+
+    node: type
+    mode: Optional[type]
+    rewrite: Callable[[Formula, RuleApplication], Formula]
+
+
+RULES: dict[str, Rule] = {
+    "R-DIA-F": Rule(DiaPlus, None, lambda f, app: rewrite_diamond(f)),
+    "R-DIA-P": Rule(DiaMinus, None, lambda f, app: rewrite_diamond(f)),
+    "R-BOXF-P": Rule(BoxPlus, Punctual, lambda f, app: rewrite_box_punctual(f)),
+    "R-BOXP-P": Rule(BoxMinus, Punctual, lambda f, app: rewrite_box_punctual(f)),
+    "R-BOXF-M": Rule(
+        BoxPlus, SingletonFree, lambda f, app: rewrite_box_singleton_free(f, app.kappa, app.lam)
+    ),
+    "R-BOXP-M": Rule(
+        BoxMinus, SingletonFree, lambda f, app: rewrite_box_singleton_free(f, app.kappa, app.lam)
+    ),
+}
+
+
+def _fire(app: RuleApplication, node: Formula) -> Formula:
+    rule = RULES.get(app.rule)
+    if rule is None:
+        raise NotApplicableError(f"unknown rule {app.rule!r}")
+    if type(node) is not rule.node:
+        raise NotApplicableError(f"{app.rule} does not match {type(node).__name__}")
+    return rule.rewrite(node, app)
+
+
+def _slack(rule: Rule, mode: RewriteMode, bound: Bound) -> tuple[Optional[Fraction], ...]:
+    """kappa and lambda of a singleton-free box rule; None for the others."""
+    if rule.mode is not SingletonFree:
+        return None, None
     default = (bound.hi - bound.lo) / 2
     kappa = mode.kappa if mode.kappa is not None else default
     lam = mode.lam if mode.lam is not None else default
@@ -175,43 +207,41 @@ def normalize(f: Formula, mode: RewriteMode) -> RewriteReport:
     Negated subtrees pass through untouched.  The applied-rule log lists
     every step with its path (child indices from the root) in an order
     that replays: folding apply_rule_at over the input reproduces the
-    output exactly.
+    output exactly.  A shared subtree is rewritten, and logged, once per
+    path.  The walk is iterative; a rule's result is walked again at the
+    same path, skipping the operands it carries over, which are normal.
     """
+    rule_for = {r.node: rid for rid, r in RULES.items() if r.mode in (None, type(mode))}
     log: list[RuleApplication] = []
-
-    def walk(node: Formula, path: tuple[int, ...]) -> Formula:
-        if isinstance(node, Not):
-            return node
-        kids = children(node)
-        node = replace_children(
-            node, tuple(walk(c, path + (i,)) for i, c in enumerate(kids))
-        )
-        if isinstance(node, (BoxPlus, BoxMinus)):
-            future = isinstance(node, BoxPlus)
-            if isinstance(mode, Punctual):
-                node = rewrite_box_punctual(node)
-                log.append(RuleApplication("R-BOXF-P" if future else "R-BOXP-P", path))
-                node = rewrite_diamond(node)
-                log.append(RuleApplication("R-DIA-F" if future else "R-DIA-P", path))
-            else:
-                kappa, lam = _resolve_slack(mode, node.bound)
-                node = rewrite_box_singleton_free(node, kappa, lam)
-                log.append(
-                    RuleApplication(
-                        "R-BOXF-M" if future else "R-BOXP-M", path, kappa=kappa, lam=lam
-                    )
-                )
-                dia = "R-DIA-F" if future else "R-DIA-P"
-                node = And(rewrite_diamond(node.left), rewrite_diamond(node.right))
-                log.append(RuleApplication(dia, path + (0,)))
-                log.append(RuleApplication(dia, path + (1,)))
-        elif isinstance(node, (DiaPlus, DiaMinus)):
-            future = isinstance(node, DiaPlus)
-            node = rewrite_diamond(node)
-            log.append(RuleApplication("R-DIA-F" if future else "R-DIA-P", path))
-        return node
-
-    output = walk(f, ())
+    path: list[int] = []  # child indices down to the node in hand
+    done: list[Formula] = []  # normalized operands awaiting their parent
+    todo: list = [(f, 0, None, (), None)]  # node, depth, child index, kept, operands
+    while todo:
+        node, depth, index, kept, kids = todo.pop()
+        if kids is None:
+            if depth:
+                del path[depth - 1 :]
+                path.append(index)
+            if type(node) is Not or (kept and any(node is k for k in kept)):
+                done.append(node)
+                continue
+            kids = children(node)
+            todo.append((node, depth, index, kept, kids))
+            for i in reversed(range(len(kids))):
+                todo.append((kids[i], depth + 1, i, kept, None))
+            continue
+        operands = tuple(done[len(done) - len(kids) :])
+        del done[len(done) - len(kids) :]
+        node = replace_children(node, operands)
+        rid = rule_for.get(type(node))
+        if rid is None:
+            done.append(node)
+            continue
+        del path[depth:]
+        app = RuleApplication(rid, tuple(path), *_slack(RULES[rid], mode, node.bound))
+        log.append(app)
+        todo.append((_fire(app, node), depth, index, operands, None))
+    (output,) = done
     return RewriteReport(input=f, output=output, applied=tuple(log))
 
 
@@ -223,31 +253,16 @@ def subtree_at(f: Formula, path: tuple[int, ...]) -> Formula:
 
 
 def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
-    if not path:
-        return new
-    kids = list(children(f))
-    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
-    return replace_children(f, tuple(kids))
+    spine = [f]
+    for i in path[:-1]:
+        spine.append(children(spine[-1])[i])
+    for parent, i in zip(reversed(spine), reversed(path)):
+        kids = list(children(parent))
+        kids[i] = new
+        new = replace_children(parent, tuple(kids))
+    return new
 
 
 def apply_rule_at(f: Formula, app: RuleApplication) -> Formula:
     """Replay a single logged rule application at its recorded path."""
-    target = subtree_at(f, app.path)
-    if app.rule in ("R-DIA-F", "R-DIA-P"):
-        expected = DiaPlus if app.rule == "R-DIA-F" else DiaMinus
-        if not isinstance(target, expected):
-            raise NotApplicableError(f"{app.rule} does not match {type(target).__name__}")
-        new = rewrite_diamond(target)
-    elif app.rule in ("R-BOXF-P", "R-BOXP-P"):
-        expected = BoxPlus if app.rule == "R-BOXF-P" else BoxMinus
-        if not isinstance(target, expected):
-            raise NotApplicableError(f"{app.rule} does not match {type(target).__name__}")
-        new = rewrite_box_punctual(target)
-    elif app.rule in ("R-BOXF-M", "R-BOXP-M"):
-        expected = BoxPlus if app.rule == "R-BOXF-M" else BoxMinus
-        if not isinstance(target, expected):
-            raise NotApplicableError(f"{app.rule} does not match {type(target).__name__}")
-        new = rewrite_box_singleton_free(target, app.kappa, app.lam)
-    else:
-        raise NotApplicableError(f"unknown rule {app.rule!r}")
-    return replace_at(f, app.path, new)
+    return replace_at(f, app.path, _fire(app, subtree_at(f, app.path)))

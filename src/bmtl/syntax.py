@@ -1,4 +1,4 @@
-"""Formula AST for bounded metric temporal logic, plus printer and analyses.
+"""Formula AST for bounded metric temporal logic: node table, fold, printers.
 
 Temporal operators carry a closed, non-negative, ordered bound [lo, hi]
 measuring distance from the evaluation point:
@@ -11,15 +11,26 @@ measuring distance from the evaluation point:
 
 All nodes are frozen dataclasses, so structural equality and hashing
 come for free and subtrees can be shared safely.
+
+NODE_TABLE describes each node class once: its kind name (census, the
+generators), its keyword in the concrete syntax, its operand fields and
+whether it carries a bound, which always sits just before the last
+operand.  Child access, rebuilding, both printers, the parser and the
+generators read it.  fold(f, step) is the one traversal: iterative and
+post-order, it calls step(node, operand results) once per distinct node
+object, with a memo keyed by identity, so no subtree is hashed and depth
+is bounded only by memory.  The evaluator, the oracle and the analyses
+here run on it, each dispatching through a dict keyed by node class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Optional, Sequence
 
 from .errors import InvertedBoundError, NegativeBoundError
-from .intervals import RationalLike, rat
+from .intervals import rat
 
 
 @dataclass(frozen=True)
@@ -108,89 +119,116 @@ class Until(Formula):
     right: Formula
 
 
-_UNARY_KEYWORD = {BoxPlus: "bplus", BoxMinus: "bminus", DiaPlus: "dplus", DiaMinus: "dminus"}
-_KIND_NAME = {
-    Pred: "pred",
-    Top: "top",
-    Not: "not",
-    And: "and",
-    BoxPlus: "bplus",
-    BoxMinus: "bminus",
-    DiaPlus: "dplus",
-    DiaMinus: "dminus",
-    Since: "since",
-    Until: "until",
-}
+@dataclass(frozen=True)
+class Kind:
+    """One row of the node table."""
+
+    cls: type
+    name: str
+    keyword: Optional[str]  # None for predicates, which print as their name
+    children: tuple[str, ...] = ()
+    bounded: bool = False
+
+    def make(self, kids: Sequence[Formula], bound: Optional[Bound] = None) -> Formula:
+        """A node of this kind from its operands in order and its bound."""
+        if not self.bounded:
+            return self.cls(*kids)
+        return self.cls(*kids[:-1], bound, kids[-1])
+
+
+NODE_TABLE = (
+    Kind(Pred, "pred", None),
+    Kind(Top, "top", "true"),
+    Kind(Not, "not", "!", ("body",)),
+    Kind(And, "and", "&", ("left", "right")),
+    Kind(BoxPlus, "bplus", "bplus", ("body",), bounded=True),
+    Kind(BoxMinus, "bminus", "bminus", ("body",), bounded=True),
+    Kind(DiaPlus, "dplus", "dplus", ("body",), bounded=True),
+    Kind(DiaMinus, "dminus", "dminus", ("body",), bounded=True),
+    Kind(Since, "since", "S", ("left", "right"), bounded=True),
+    Kind(Until, "until", "U", ("left", "right"), bounded=True),
+)
+KINDS = {k.cls: k for k in NODE_TABLE}
+KINDS_BY_NAME = {k.name: k for k in NODE_TABLE}
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    if isinstance(f, (Pred, Top)):
-        return ()
-    if isinstance(f, Not):
-        return (f.body,)
-    if isinstance(f, (BoxPlus, BoxMinus, DiaPlus, DiaMinus)):
-        return (f.body,)
-    if isinstance(f, And):
-        return (f.left, f.right)
-    if isinstance(f, (Since, Until)):
-        return (f.left, f.right)
-    raise TypeError(f"not a formula node: {f!r}")
+    return tuple([getattr(f, name) for name in KINDS[type(f)].children])
 
 
 def replace_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
-    if isinstance(f, (Pred, Top)):
+    kind = KINDS[type(f)]
+    if not kind.children:
         return f
-    if isinstance(f, Not):
-        return Not(new[0])
-    if isinstance(f, (BoxPlus, BoxMinus, DiaPlus, DiaMinus)):
-        return type(f)(f.bound, new[0])
-    if isinstance(f, And):
-        return And(new[0], new[1])
-    if isinstance(f, (Since, Until)):
-        return type(f)(new[0], f.bound, new[1])
-    raise TypeError(f"not a formula node: {f!r}")
+    return kind.make(new, f.bound if kind.bounded else None)
+
+
+def fold(f: Formula, step: Callable[[Formula, list], object]):
+    """Post-order fold: step(node, results of its operands in order).
+
+    Iterative, so depth is not limited by the interpreter's stack; step
+    runs once per distinct node object, so shared subtrees cost once.
+    """
+    memo: dict[int, object] = {}
+    todo: list = [(f, None)]
+    while todo:
+        node, kids = todo.pop()
+        if kids is not None:
+            memo[id(node)] = step(node, [memo[id(k)] for k in kids])
+        elif id(node) not in memo:
+            kids = children(node)
+            todo.append((node, kids))
+            for k in reversed(kids):
+                if id(k) not in memo:
+                    todo.append((k, None))
+    return memo[id(f)]
+
+
+def _render(f: Formula, pieces: Callable[[Formula, Kind, tuple], list]) -> str:
+    """Join the text pieces of every node; a piece is a string or an operand."""
+    out: list[str] = []
+    todo: list = [f]
+    while todo:
+        item = todo.pop()
+        if type(item) is str:
+            out.append(item)
+        else:
+            todo.extend(reversed(pieces(item, KINDS[type(item)], children(item))))
+    return "".join(out)
+
+
+def _print_pieces(node: Formula, kind: Kind, kids: tuple) -> list:
+    if not kids:
+        return [kind.keyword or node.name]
+    op = kind.keyword + (str(node.bound) if kind.bounded else "")
+    if len(kids) == 1:
+        return [op + " " if kind.bounded else op, kids[0]]
+    return ["(", kids[0], f" {op} ", kids[1], ")"]
 
 
 def print_formula(f: Formula) -> str:
     """Concrete syntax; re-parsing the output reproduces the tree.
 
     Conjunctions and since/until nodes are always parenthesized, which
-    keeps the printer unambiguous without precedence bookkeeping.
+    keeps the printer unambiguous without precedence bookkeeping (and
+    limits re-parsing to the parser's MAX_PAREN_DEPTH of them nested).
     """
-    if isinstance(f, Pred):
-        return f.name
-    if isinstance(f, Top):
-        return "true"
-    if isinstance(f, Not):
-        return "!" + print_formula(f.body)
-    if isinstance(f, And):
-        return f"({print_formula(f.left)} & {print_formula(f.right)})"
-    if isinstance(f, (BoxPlus, BoxMinus, DiaPlus, DiaMinus)):
-        return f"{_UNARY_KEYWORD[type(f)]}{f.bound} {print_formula(f.body)}"
-    if isinstance(f, Since):
-        return f"({print_formula(f.left)} S{f.bound} {print_formula(f.right)})"
-    if isinstance(f, Until):
-        return f"({print_formula(f.left)} U{f.bound} {print_formula(f.right)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    return _render(f, _print_pieces)
+
+
+def _s_expression_pieces(node: Formula, kind: Kind, kids: tuple) -> list:
+    words = ([] if kind.keyword else [node.name]) + list(kids)
+    if kind.bounded:
+        words.insert(-1, str(node.bound))
+    out = ["(" + kind.name]
+    for word in words:
+        out += [" ", word]
+    return out + [")"]
 
 
 def s_expression(f: Formula) -> str:
     """Prefix rendering of the AST, one parenthesized node per operator."""
-    if isinstance(f, Pred):
-        return f"(pred {f.name})"
-    if isinstance(f, Top):
-        return "(top)"
-    if isinstance(f, Not):
-        return f"(not {s_expression(f.body)})"
-    if isinstance(f, And):
-        return f"(and {s_expression(f.left)} {s_expression(f.right)})"
-    if isinstance(f, (BoxPlus, BoxMinus, DiaPlus, DiaMinus)):
-        return f"({_UNARY_KEYWORD[type(f)]} {f.bound} {s_expression(f.body)})"
-    if isinstance(f, Since):
-        return f"(since {s_expression(f.left)} {f.bound} {s_expression(f.right)})"
-    if isinstance(f, Until):
-        return f"(until {s_expression(f.left)} {f.bound} {s_expression(f.right)})"
-    raise TypeError(f"not a formula node: {f!r}")
+    return _render(f, _s_expression_pieces)
 
 
 @dataclass(frozen=True, eq=True)
@@ -210,31 +248,46 @@ class Census:
 def census(f: Formula) -> Census:
     """Count node kinds, flag singleton bounds, measure nesting depth.
 
-    Depth counts edges: a lone predicate has depth 0.
+    Counts are per occurrence in the tree, so a shared subtree counts
+    once for each parent.  Depth counts edges: a lone predicate has
+    depth 0.
     """
-    counts: dict[str, int] = {}
-    singleton = False
-    max_depth = 0
 
-    def walk(node: Formula, depth: int):
-        nonlocal singleton, max_depth
-        max_depth = max(max_depth, depth)
-        name = _KIND_NAME[type(node)]
-        counts[name] = counts.get(name, 0) + 1
-        bound = getattr(node, "bound", None)
-        if bound is not None and bound.singleton:
-            singleton = True
-        for c in children(node):
-            walk(c, depth + 1)
+    def step(node: Formula, kids: list) -> tuple[dict[str, int], bool, int]:
+        kind = KINDS[type(node)]
+        counts = {kind.name: 1}
+        singleton = kind.bounded and node.bound.singleton
+        depth = 0
+        for sub, sub_singleton, sub_depth in kids:
+            for name, n in sub.items():
+                counts[name] = counts.get(name, 0) + n
+            singleton = singleton or sub_singleton
+            depth = max(depth, sub_depth + 1)
+        return counts, singleton, depth
 
-    walk(f, 0)
-    return Census(counts=counts, has_singleton_bound=singleton, max_depth=max_depth)
+    counts, singleton, depth = fold(f, step)
+    return Census(counts=counts, has_singleton_bound=singleton, max_depth=depth)
 
 
 def is_negation_free(f: Formula) -> bool:
-    if isinstance(f, Not):
-        return False
-    return all(is_negation_free(c) for c in children(f))
+    return fold(f, lambda node, kids: type(node) is not Not and all(kids))
+
+
+# the side each temporal operator looks toward: 0 the past, 1 the future
+_LOOKS_TOWARD = {DiaMinus: 0, BoxMinus: 0, Since: 0, DiaPlus: 1, BoxPlus: 1, Until: 1}
+_NO_REACH = (Fraction(0), Fraction(0))
+
+
+def _reach_step(node: Formula, kids: list) -> tuple[Fraction, Fraction]:
+    past, future = kids[0] if kids else _NO_REACH
+    for p, f in kids[1:]:
+        past, future = max(past, p), max(future, f)
+    side = _LOOKS_TOWARD.get(type(node))
+    if side == 0:
+        past += node.bound.hi
+    elif side == 1:
+        future += node.bound.hi
+    return past, future
 
 
 def temporal_reach(f: Formula) -> tuple[Fraction, Fraction]:
@@ -244,46 +297,21 @@ def temporal_reach(f: Formula) -> tuple[Fraction, Fraction]:
     [t - past, t + future]; the envelope grows by the bound's upper
     endpoint on the side the operator looks toward.
     """
-    zero = Fraction(0)
-    if isinstance(f, (Pred, Top)):
-        return (zero, zero)
-    if isinstance(f, Not):
-        return temporal_reach(f.body)
-    if isinstance(f, And):
-        (p1, f1), (p2, f2) = temporal_reach(f.left), temporal_reach(f.right)
-        return (max(p1, p2), max(f1, f2))
-    if isinstance(f, (DiaMinus, BoxMinus)):
-        p, fut = temporal_reach(f.body)
-        return (f.bound.hi + p, fut)
-    if isinstance(f, (DiaPlus, BoxPlus)):
-        p, fut = temporal_reach(f.body)
-        return (p, f.bound.hi + fut)
-    if isinstance(f, Since):
-        (p1, f1), (p2, f2) = temporal_reach(f.left), temporal_reach(f.right)
-        return (f.bound.hi + max(p1, p2), max(f1, f2))
-    if isinstance(f, Until):
-        (p1, f1), (p2, f2) = temporal_reach(f.left), temporal_reach(f.right)
-        return (max(p1, p2), f.bound.hi + max(f1, f2))
-    raise TypeError(f"not a formula node: {f!r}")
+    return fold(f, _reach_step)
 
 
 def temporal_nesting(f: Formula) -> int:
     """Maximum number of temporal operators on any root-to-leaf path."""
-    step = 1 if isinstance(f, (BoxPlus, BoxMinus, DiaPlus, DiaMinus, Since, Until)) else 0
-    kids = children(f)
-    return step + (max((temporal_nesting(c) for c in kids), default=0))
+    return fold(f, lambda node, kids: KINDS[type(node)].bounded + max(kids, default=0))
 
 
 def all_bounds(f: Formula) -> list[Bound]:
     """Every temporal bound in the tree, in preorder."""
     out: list[Bound] = []
-
-    def walk(node: Formula):
-        bound = getattr(node, "bound", None)
-        if bound is not None:
-            out.append(bound)
-        for c in children(node):
-            walk(c)
-
-    walk(f)
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        if KINDS[type(node)].bounded:
+            out.append(node.bound)
+        todo.extend(reversed(children(node)))
     return out

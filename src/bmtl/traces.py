@@ -67,8 +67,11 @@ class Trace:
         return set(self._bases)
 
 
-def _rat(text: str) -> Fraction:
-    return Fraction(text)
+def _rat(text: str, lineno: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {text!r}", lineno) from None
 
 
 def parse_trace(text: str) -> Trace:
@@ -86,7 +89,7 @@ def parse_trace(text: str) -> Trace:
                 raise MissingHorizonError(
                     "first line must declare the horizon, e.g. 'horizon [-5,10]'", lineno
                 )
-            lo, hi = _rat(m.group(1)), _rat(m.group(2))
+            lo, hi = _rat(m.group(1), lineno), _rat(m.group(2), lineno)
             if lo >= hi:
                 raise ParseError(f"horizon [{lo},{hi}] must have positive width", lineno)
             horizon = Interval(lo, hi)
@@ -96,7 +99,7 @@ def parse_trace(text: str) -> Trace:
         m = _FACT_RE.match(line)
         if m is None:
             raise ParseError(f"malformed trace line: {line!r}", lineno)
-        name, lo, hi = m.group(1), _rat(m.group(2)), _rat(m.group(3))
+        name, lo, hi = m.group(1), _rat(m.group(2), lineno), _rat(m.group(3), lineno)
         if lo > hi:
             raise ParseError(f"inverted fact span [{lo},{hi}]", lineno)
         span = Interval(lo, hi)

@@ -12,6 +12,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import bmtl.rewrite as rewrite_module
 from bmtl.intervals import Interval, IntervalSet, coalesce
 from bmtl.syntax import (
     And,
@@ -145,4 +146,19 @@ def simple_trace() -> Trace:
             Fact("p", Interval(Fraction(0), Fraction(4))),
             Fact("q", Interval(Fraction(3), Fraction(6))),
         ),
+    )
+
+
+def corrupted_future_box(f, app):
+    """R-BOXF-P pinned at the window's end instead of its start: unsound
+    whenever lo < hi, so a working campaign must catch it."""
+    lo, hi = f.bound.lo, f.bound.hi
+    return DiaPlus(Bound(hi, hi), Until(f.body, Bound(hi - lo, hi - lo), Top()))
+
+
+def corrupt_punctual_box(monkeypatch):
+    """Fire corrupted_future_box for R-BOXF-P until monkeypatch undoes it."""
+    rule = rewrite_module.RULES["R-BOXF-P"]
+    monkeypatch.setitem(
+        rewrite_module.RULES, "R-BOXF-P", rule._replace(rewrite=corrupted_future_box)
     )

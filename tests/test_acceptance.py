@@ -12,7 +12,6 @@ from fractions import Fraction as F
 
 import pytest
 
-import bmtl.rewrite as rewrite_module
 from bmtl.evaluate import combined_reliable_region, eval_truth_set
 from bmtl.harness import GenConfig, gen_formula, gen_trace, run_campaign
 from bmtl.intervals import Interval, IntervalSet, coalesce, from_interval
@@ -30,6 +29,7 @@ from bmtl.syntax import (
     census,
     print_formula,
 )
+from conftest import corrupt_punctual_box
 from gridcheck import (
     brute_exists_in_window,
     brute_forall_in_window,
@@ -344,12 +344,10 @@ def test_c7_interval_algebra_against_lattice(announce):
     )
 
 
-def test_c8_mutation_sentinel(announce):
-    rewrite_module._corrupt_punctual_box = True
-    try:
+def test_c8_mutation_sentinel(announce, monkeypatch):
+    with monkeypatch.context() as patch:
+        corrupt_punctual_box(patch)
         corrupted = run_campaign(GenConfig(seed=42, trials=100), Punctual())
-    finally:
-        rewrite_module._corrupt_punctual_box = False
     clean = run_campaign(GenConfig(seed=42, trials=100), Punctual())
     detected = len(corrupted.failures)
     ok = detected >= 1 and not clean.failures

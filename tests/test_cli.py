@@ -173,6 +173,15 @@ class TestEval:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("text", ["horizon [0,1/0]\n", "horizon [0,10]\np @ [0,1/0]\n"])
+    def test_zero_denominator_in_trace_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "bad.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "eval", "--trace", str(path), "p")
+        assert code == 2
+        assert out == ""
+        assert "zero denominator" in err
+
     def test_empty_reliable_region_is_null(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("horizon [0,2]\n")

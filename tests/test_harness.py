@@ -29,6 +29,9 @@ from bmtl.syntax import (
     is_negation_free,
 )
 from bmtl.traces import Fact, Trace
+from conftest import corrupt_punctual_box
+
+RULES_AS_SHIPPED = dict(rewrite_module.RULES)
 
 
 def _json_without_time(report) -> str:
@@ -183,16 +186,13 @@ class TestCampaigns:
             "trials",
         ]
 
-    def test_corrupted_rewrite_is_detected(self):
-        rewrite_module._corrupt_punctual_box = True
-        try:
-            report = run_campaign(GenConfig(seed=42, trials=100), Punctual())
-        finally:
-            rewrite_module._corrupt_punctual_box = False
+    def test_corrupted_rewrite_is_detected(self, monkeypatch):
+        corrupt_punctual_box(monkeypatch)
+        report = run_campaign(GenConfig(seed=42, trials=100), Punctual())
         assert len(report.failures) >= 1
         assert all(f.kind in ("mismatch", "oracle_mismatch") for f in report.failures)
 
     def test_clean_after_sentinel_reset(self):
-        assert rewrite_module._corrupt_punctual_box is False
+        assert rewrite_module.RULES == RULES_AS_SHIPPED
         report = run_campaign(GenConfig(seed=42, trials=25), Punctual())
         assert report.failures == []

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 from bmtl.errors import InvertedBoundError, NegativeBoundError, ParseError
-from bmtl.parser import parse_formula
+from bmtl.parser import MAX_PAREN_DEPTH, parse_formula
 from bmtl.syntax import (
     And,
     Bound,
@@ -120,6 +120,20 @@ class TestParseErrors:
     def test_negative_bound_keeps_precise_type(self):
         with pytest.raises(NegativeBoundError):
             parse_formula("bplus[-1,3] p")
+
+    def test_long_prefix_chains_parse(self):
+        assert census(parse_formula("!" * 3000 + "p")).counts == {"not": 3000, "pred": 1}
+        f = parse_formula("bplus[0,1] !" * 1500 + "p")
+        assert census(f).counts == {"bplus": 1500, "not": 1500, "pred": 1}
+
+    def test_parentheses_nest_up_to_the_cap(self):
+        n = MAX_PAREN_DEPTH
+        assert parse_formula("(" * n + "p" + ")" * n) == Pred("p")
+
+    def test_deeper_parentheses_rejected_with_position(self):
+        with pytest.raises(ParseError) as exc:
+            parse_formula("(" * 3000 + "p" + ")" * 3000)
+        assert (exc.value.line, exc.value.column) == (1, MAX_PAREN_DEPTH + 1)
 
 
 class TestStructure:

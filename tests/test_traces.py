@@ -76,6 +76,14 @@ class TestTextFormat:
         with pytest.raises(FactOutsideHorizonError):
             parse_trace("horizon [0,10]\np @ [8,11]\n")
 
+    @pytest.mark.parametrize(
+        "text,line", [("horizon [0,1/0]\n", 1), ("horizon [0,10]\np @ [0,1/0]\n", 2)]
+    )
+    def test_zero_denominator_reports_line(self, text, line):
+        with pytest.raises(ParseError) as exc:
+            parse_trace(text)
+        assert exc.value.line == line
+
     @given(traces_st())
     def test_round_trip(self, tr):
         back = parse_trace(format_trace(tr))
