@@ -7,6 +7,7 @@ that check the rewriting against an independent pointwise oracle.
 
 from .errors import (
     BmtlError,
+    ConfigError,
     DegenerateBoundError,
     FactOutsideHorizonError,
     InvertedBoundError,

@@ -3,7 +3,8 @@
 Subcommands: parse, rewrite, eval, census, check.  Machine-readable
 output goes to stdout, diagnostics to stderr.  Exit codes: 0 success
 (and campaigns with zero failures), 1 campaign failures, 2 syntax
-errors, 3 rewrite precondition violations, 4 I/O errors.
+errors and invalid campaign settings, 3 rewrite precondition
+violations, 4 I/O errors (including files that are not UTF-8).
 """
 
 from __future__ import annotations
@@ -55,15 +56,21 @@ def _fail(message: str, exit_code: int) -> int:
     return exit_code
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as e:
+        raise _IOFailure(str(e))
+    except UnicodeDecodeError as e:
+        raise _IOFailure(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
+
+
 def _load_formula(ns) -> Formula:
     if ns.file is not None:
         if ns.formula is not None:
             raise _UsageError("give a formula inline or via --file, not both")
-        try:
-            with open(ns.file, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise _IOFailure(str(e))
+        text = _read_text(ns.file)
     else:
         if ns.formula is None:
             raise _UsageError("a formula is required (inline or via --file)")
@@ -130,12 +137,7 @@ def _cmd_rewrite(ns) -> int:
 
 def _cmd_eval(ns) -> int:
     f = _load_formula(ns)
-    try:
-        with open(ns.trace, "r", encoding="utf-8") as fh:
-            trace_text = fh.read()
-    except OSError as e:
-        raise _IOFailure(str(e))
-    tr = parse_trace(trace_text)
+    tr = parse_trace(_read_text(ns.trace))
     truth = eval_truth_set(f, tr)
     region = reliable_region(f, tr)
     if ns.json:

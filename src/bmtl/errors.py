@@ -37,6 +37,12 @@ class FactOutsideHorizonError(ParseError):
     code = "FACT_OUTSIDE_HORIZON"
 
 
+class ConfigError(BmtlError, ValueError):
+    """Campaign settings out of range (negative trial count, zero bound, ...)."""
+
+    code = "CONFIG_ERROR"
+
+
 class NegativeBoundError(BmtlError):
     code = "NEGATIVE_BOUND"
 

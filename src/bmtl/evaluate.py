@@ -17,7 +17,14 @@ Each clause is a set-algebra image of the dense semantics:
 The since/until clause leans on canonical form: a closed stretch of
 time lies inside truth(A1) exactly when its two ends fall in the same
 maximal part, so the "A1 holds throughout" condition reduces to
-clipping against one part at a time.
+clipping against one part at a time.  Both part lists are sorted, so
+one sweep serves every part: for each J the witness parts meeting J
+form one contiguous run, found by a cursor that only moves forward and
+never past a witness part that reaches beyond J (it may meet the next
+part too).  The run is dilated, clipped to J and appended; the clipped
+pieces of successive parts are already in canonical order.  The
+clause costs O(n + m) interval operations for n parts of truth(A1) and
+m parts of truth(A2).
 
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
@@ -29,7 +36,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .intervals import EMPTY, Interval, IntervalSet, from_interval
+from .intervals import Interval, IntervalSet, from_interval
 from .syntax import (
     And,
     BoxMinus,
@@ -69,13 +76,26 @@ def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
 
 
 def _binary_clause(holds: IntervalSet, witness: IntervalSet, shift_lo, shift_hi) -> IntervalSet:
-    out = EMPTY
+    w = witness.parts
+    out: list[Interval] = []
+    i = 0
     for part in holds.parts:
-        j = from_interval(part)
-        inside = j.intersect(witness)
-        if inside.parts:
-            out = out.union(inside.dilate(shift_lo, shift_hi).intersect(j))
-    return out
+        while i < len(w) and _wholly_before(w[i], part):
+            i += 1
+        run = []
+        k = i
+        while k < len(w) and not _wholly_before(part, w[k]):
+            run.append(w[k].intersect(part))
+            k += 1
+        if run:
+            j = from_interval(part)
+            out.extend(IntervalSet(tuple(run)).dilate(shift_lo, shift_hi).intersect(j).parts)
+    return IntervalSet(tuple(out))
+
+
+def _wholly_before(a: Interval, b: Interval) -> bool:
+    """Every point of a precedes every point of b."""
+    return a.hi < b.lo or (a.hi == b.lo and not (a.hi_closed and b.lo_closed))
 
 
 def reliable_region(f: Formula, tr: Trace) -> Optional[Interval]:
@@ -87,8 +107,9 @@ def reliable_region(f: Formula, tr: Trace) -> Optional[Interval]:
 
 
 def combined_reliable_region(tr: Trace, *formulas: Formula) -> Optional[Interval]:
-    past = max(temporal_reach(f)[0] for f in formulas)
-    future = max(temporal_reach(f)[1] for f in formulas)
+    reaches = [temporal_reach(f) for f in formulas]
+    past = max(r[0] for r in reaches)
+    future = max(r[1] for r in reaches)
     if past + future >= tr.horizon.width:
         return None
     return Interval(tr.horizon.lo + past, tr.horizon.hi - future)

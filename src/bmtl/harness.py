@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
+from .errors import ConfigError
 from .evaluate import combined_reliable_region, eval_truth_set
 from .intervals import Interval, IntervalSet, from_interval, rat
 from .oracle import oracle_eval_many
@@ -74,14 +75,14 @@ class GenConfig:
         object.__setattr__(self, "bound_max", rat(self.bound_max))
         object.__setattr__(self, "horizon_length", rat(self.horizon_length))
         object.__setattr__(self, "predicate_pool", tuple(self.predicate_pool))
-        if self.max_depth < 0 or self.trials < 0:
-            raise ValueError("max_depth and trials must be non-negative")
+        if min(self.max_depth, self.trials, self.facts_per_trace) < 0:
+            raise ConfigError("max_depth, trials and facts_per_trace must be non-negative")
         if self.bound_denominator_max < 1:
-            raise ValueError("bound_denominator_max must be at least 1")
+            raise ConfigError("bound_denominator_max must be at least 1")
         if self.bound_max <= 0 or self.horizon_length <= 0:
-            raise ValueError("bound_max and horizon_length must be positive")
+            raise ConfigError("bound_max and horizon_length must be positive")
         if not self.predicate_pool:
-            raise ValueError("predicate pool must not be empty")
+            raise ConfigError("predicate pool must not be empty")
 
 
 def _any_bound(cfg: GenConfig, rng: random.Random, singleton_free: bool) -> Bound:
@@ -176,10 +177,14 @@ def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
 
 @dataclass(frozen=True)
 class Verdict:
+    """Outcome of one comparison.  ``truths`` holds the two truth sets,
+    clipped to the region, unless the region is empty."""
+
     status: str  # "equal" | "not_equal" | "empty_region"
     region: Optional[Interval] = None
     first_diff: Optional[Interval] = None
     witness: Optional[Fraction] = None
+    truths: Optional[tuple[IntervalSet, IntervalSet]] = None
 
 
 def _point_inside(part: Interval) -> Fraction:
@@ -204,13 +209,17 @@ def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
     s1 = eval_truth_set(f1, tr).intersect(clip)
     s2 = eval_truth_set(f2, tr).intersect(clip)
     if s1 == s2:
-        return Verdict(status="equal", region=region)
+        return Verdict(status="equal", region=region, truths=(s1, s2))
     only1 = s1.intersect(s2.complement_within(region))
     only2 = s2.intersect(s1.complement_within(region))
     diff = only1.union(only2)
     first = diff.parts[0]
     return Verdict(
-        status="not_equal", region=region, first_diff=first, witness=_point_inside(first)
+        status="not_equal",
+        region=region,
+        first_diff=first,
+        witness=_point_inside(first),
+        truths=(s1, s2),
     )
 
 
@@ -347,9 +356,9 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
                 witness=str(verdict.witness),
             )
         else:
+            # the region-clipped truth sets serve: every sample lies in the region
             points = _sample_points(rng, verdict.region, ORACLE_POINTS_PER_TRIAL)
-            s1 = eval_truth_set(wrapped, tr)
-            s2 = eval_truth_set(normalized, tr)
+            s1, s2 = verdict.truths
             o1 = oracle_eval_many(wrapped, tr, points)
             o2 = oracle_eval_many(normalized, tr, points)
             for pt, a, b in zip(points, o1, o2):

@@ -9,6 +9,7 @@ floats never enter the core.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -150,7 +151,8 @@ class IntervalSet:
         return bool(self.parts)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        return coalesce(self.parts + other.parts)
+        # both part tuples are already sorted: merge them in one pass
+        return _fuse(heapq.merge(self.parts, other.parts, key=_start_key))
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
         out: list[Interval] = []
@@ -243,12 +245,17 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
+def _start_key(p: Interval) -> tuple[Fraction, bool]:
+    return (p.lo, not p.lo_closed)
+
+
 def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
     """Canonicalize a raw collection of intervals (Nones are dropped)."""
-    pieces = sorted(
-        (p for p in raw if p is not None),
-        key=lambda p: (p.lo, not p.lo_closed),
-    )
+    return _fuse(sorted((p for p in raw if p is not None), key=_start_key))
+
+
+def _fuse(pieces: Iterable[Interval]) -> IntervalSet:
+    """Canonical set from intervals already ordered by :func:`_start_key`."""
     out: list[Interval] = []
     for p in pieces:
         if out and _mergeable(out[-1], p):

@@ -182,6 +182,15 @@ class TestEval:
         assert out == ""
         assert "zero denominator" in err
 
+    def test_non_utf8_trace_exits_4(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"horizon [0,10]\np @ [0,1] # \xff\n")
+        code, out, err = run(capsys, "eval", "--trace", str(path), "p")
+        assert code == 4
+        assert out == ""
+        assert err.startswith("error: ") and "not UTF-8" in err
+        assert err.count("\n") == 1
+
     def test_empty_reliable_region_is_null(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("horizon [0,2]\n")
@@ -256,6 +265,15 @@ class TestCheck:
         )
         assert code == 1
         assert json.loads(out)["failures"][0]["witness"] == "1/2"
+
+    @pytest.mark.parametrize(
+        "flags", [("--trials", "-1"), ("--bound-max", "0")], ids=["trials", "bound_max"]
+    )
+    def test_out_of_range_settings_exit_2(self, capsys, flags):
+        code, out, err = run(capsys, "check", "--mode", "punctual", *flags)
+        assert code == 2
+        assert out == ""
+        assert "[CONFIG_ERROR]" in err
 
     def test_json_output_is_byte_stable(self, capsys):
         args = ("check", "--mode", "punctual", "--seed", "3", "--trials", "5", "--json")

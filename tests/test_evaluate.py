@@ -2,10 +2,15 @@
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
-from bmtl.evaluate import combined_reliable_region, eval_truth_set, reliable_region
-from bmtl.intervals import Interval, coalesce, from_interval
+from bmtl.evaluate import (
+    _binary_clause,
+    combined_reliable_region,
+    eval_truth_set,
+    reliable_region,
+)
+from bmtl.intervals import EMPTY, Interval, IntervalSet, coalesce, from_interval
 from bmtl.syntax import (
     And,
     Bound,
@@ -154,3 +159,94 @@ class TestReliableRegionSoundness:
         assert eval_truth_set(f, tr).intersect(clip) == eval_truth_set(
             f, extended
         ).intersect(clip)
+
+
+def _reference_binary_clause(holds, witness, shift_lo, shift_hi):
+    """The clause as first written: one scan of every witness part and one
+    union per part of holds (quadratic, kept as the reference)."""
+    out = EMPTY
+    for part in holds.parts:
+        j = from_interval(part)
+        inside = j.intersect(witness)
+        if inside.parts:
+            out = out.union(inside.dilate(shift_lo, shift_hi).intersect(j))
+    return out
+
+
+@st.composite
+def _grid_intervals(draw, max_width: int):
+    """Intervals on a half-unit grid, so shared endpoints and singletons
+    are common; a zero width gives a singleton."""
+    lo = F(draw(st.integers(min_value=-16, max_value=16)), 2)
+    hi = lo + F(draw(st.integers(min_value=0, max_value=2 * max_width)), 2)
+    if lo == hi:
+        return Interval(lo, hi)
+    return Interval(lo, hi, draw(st.booleans()), draw(st.booleans()))
+
+
+def _grid_sets(max_parts: int, max_width: int):
+    return st.lists(_grid_intervals(max_width), max_size=max_parts).map(coalesce)
+
+
+@st.composite
+def _shifts(draw):
+    """[0,0], a zero-width shift, or a general one; either end may be negative."""
+    kind = draw(st.sampled_from(("origin", "zero_width", "general")))
+    if kind == "origin":
+        return F(0), F(0)
+    lo = F(draw(st.integers(min_value=-8, max_value=8)), 2)
+    if kind == "zero_width":
+        return lo, lo
+    return lo, lo + F(draw(st.integers(min_value=1, max_value=8)), 2)
+
+
+def _parts(*spans):
+    return IntervalSet(tuple(Interval(*span) for span in spans))
+
+
+class TestSinceUntilSweep:
+    # many narrow parts of holds against few wide witness parts, so a
+    # witness part often straddles several parts of holds
+    @settings(max_examples=300)
+    @given(_grid_sets(8, 2), _grid_sets(4, 8), _shifts())
+    @example(
+        _parts((0, 1), (2, 3, False, False), (4, 4), (5, 7, True, False)),
+        _parts((F(1, 2), 6)),
+        (F(-1), F(0)),
+    )
+    @example(_parts((0, 1, False, True), (3, 3)), _parts((1, 1), (3, 3)), (F(0), F(0)))
+    @example(_parts((0, 10)), _parts((1, 2, False, False), (2, 3, False, True)), (F(2), F(2)))
+    def test_sweep_matches_per_part_reference(self, holds, witness, shift):
+        lo, hi = shift
+        assert _binary_clause(holds, witness, lo, hi) == _reference_binary_clause(
+            holds, witness, lo, hi
+        )
+
+    @staticmethod
+    def _intersect_calls(monkeypatch, facts: int) -> int:
+        """Interval.intersect calls made by one since and one until clause
+        on a trace with the given number of facts per predicate."""
+        p = [Fact("p", Interval(F(4 * i), F(4 * i + 3))) for i in range(facts)]
+        q = [Fact("q", Interval(F(8 * i + 5, 2), F(8 * i + 6, 2))) for i in range(facts)]
+        tr = Trace(Interval(F(0), F(4 * facts)), tuple(p + q))
+        calls = 0
+        original = Interval.intersect
+
+        def counted(self, other):
+            nonlocal calls
+            calls += 1
+            return original(self, other)
+
+        with monkeypatch.context() as m:
+            m.setattr(Interval, "intersect", counted)
+            for f in (
+                Since(Pred("p"), Bound(F(0), F(1)), Pred("q")),
+                Until(Pred("p"), Bound(F(1), F(2)), Pred("q")),
+            ):
+                assert eval_truth_set(f, tr).parts
+        return calls
+
+    def test_interval_operations_grow_linearly(self, monkeypatch):
+        small = self._intersect_calls(monkeypatch, 500)
+        large = self._intersect_calls(monkeypatch, 2000)
+        assert large <= 4.5 * small, (small, large)

@@ -5,7 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import bmtl.evaluate as evaluate_module
+import bmtl.harness as harness_module
 import bmtl.rewrite as rewrite_module
+from bmtl.errors import ConfigError
 from bmtl.harness import (
     GenConfig,
     _sample_points,
@@ -185,6 +188,42 @@ class TestCampaigns:
             "horizon_length",
             "trials",
         ]
+
+    def test_each_formula_is_evaluated_and_reached_once_per_trial(self, monkeypatch):
+        calls = {"eval": 0, "reach": 0}
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapped
+
+        monkeypatch.setattr(
+            harness_module, "eval_truth_set", counting("eval", harness_module.eval_truth_set)
+        )
+        monkeypatch.setattr(
+            evaluate_module, "temporal_reach", counting("reach", evaluate_module.temporal_reach)
+        )
+        cfg = GenConfig(seed=5, trials=30, horizon_length=F(6), bound_max=F(4))
+        report = run_campaign(cfg, Punctual())
+        assert report.trials > 0 and report.empty_regions > 0
+        # the oracle checks reuse the truth sets the comparison computed
+        assert calls["eval"] == 2 * report.trials
+        assert calls["reach"] == 2 * cfg.trials
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"trials": -1},
+            {"max_depth": -1},
+            {"facts_per_trace": -1},
+            {"bound_max": 0},
+            {"bound_denominator_max": 0},
+        ],
+    )
+    def test_out_of_range_settings_raise_config_error(self, settings):
+        with pytest.raises(ConfigError):
+            GenConfig(**settings)
 
     def test_corrupted_rewrite_is_detected(self, monkeypatch):
         corrupt_punctual_box(monkeypatch)
