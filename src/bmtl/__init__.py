@@ -17,6 +17,7 @@ from .errors import (
     NegativeBoundError,
     NonpositiveSlackError,
     NotApplicableError,
+    OracleGridError,
     ParseError,
     PointOutsideHorizonError,
     RewriteError,

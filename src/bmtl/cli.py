@@ -3,8 +3,9 @@
 Subcommands: parse, rewrite, eval, census, check.  Machine-readable
 output goes to stdout, diagnostics to stderr.  Exit codes: 0 success
 (and campaigns with zero failures), 1 campaign failures, 2 syntax
-errors and invalid campaign settings, 3 rewrite precondition
-violations, 4 I/O errors (including files that are not UTF-8).
+errors and invalid campaign settings (including an oracle grid too fine
+to build), 3 rewrite precondition violations, 4 I/O errors (including
+files that are not UTF-8), 5 a campaign that compared no trial.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ EXIT_CAMPAIGN_FAILURES = 1
 EXIT_SYNTAX = 2
 EXIT_REWRITE = 3
 EXIT_IO = 4
+EXIT_NOTHING_COMPARED = 5
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -202,7 +204,9 @@ def _cmd_check(ns) -> int:
                 f"failure (trial {failure.trial}, {failure.kind}): {failure.formula}",
                 file=sys.stderr,
             )
-    return EXIT_OK if not report.failures else EXIT_CAMPAIGN_FAILURES
+    if report.failures:
+        return EXIT_CAMPAIGN_FAILURES
+    return EXIT_OK if report.trials else EXIT_NOTHING_COMPARED
 
 
 def _add_formula_args(sub: argparse.ArgumentParser):

@@ -79,3 +79,9 @@ class MitlPreconditionError(RewriteError):
 
 class NonpositiveSlackError(RewriteError):
     code = "NONPOSITIVE_SLACK"
+
+
+class OracleGridError(BmtlError, MemoryError):
+    """The oracle's sample grid would be too large to build."""
+
+    code = "ORACLE_GRID_TOO_FINE"

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -223,25 +224,44 @@ def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
     )
 
 
-# Sample points are drawn from a fixed fine lattice.  The denominator
-# is a multiple of every denominator the generators produce, so query
-# points never force the oracle onto a finer grid than the formula and
-# trace already require, and the lattice is fine enough to land inside
-# every piece of the piecewise-constant truth sets under comparison.
-_SAMPLE_DENOMINATOR = 24
+def _sample_denominator(cfg: GenConfig, mode: RewriteMode) -> int:
+    """Denominator of the lattice sample points are drawn from: twice
+    the lcm of every denominator the generators and settings produce
+    (bounds, facts, slacks, the horizon ends; 24 at the defaults).  The
+    original formula's truth-set endpoints lie on the 1/lcm lattice, and
+    points are sampled only once both truth sets agree, so this lattice
+    has a point inside every piece under comparison.
+
+    It does refine the oracle's grid, whose step is 1/(4*lcm) over the
+    denominators in sight, query points included: a sampled point
+    usually brings factors the trial's own formula and trace lack.  At
+    the defaults that makes the grid 2x finer in most trials and up to
+    24x finer in some.
+    """
+    dens = [*range(1, cfg.bound_denominator_max + 1), (cfg.horizon_length / 2).denominator]
+    if isinstance(mode, SingletonFree):
+        dens += [s.denominator for s in (mode.kappa, mode.lam) if s is not None]
+    return 2 * math.lcm(*dens)
 
 
-def _sample_points(rng: random.Random, region: Interval, count: int) -> list[Fraction]:
-    d = _SAMPLE_DENOMINATOR
-    lo_i = math.ceil(region.lo * d)
-    hi_i = math.floor(region.hi * d)
+def _sample_points(
+    rng: random.Random,
+    region: Interval,
+    count: int,
+    denominator: int = _sample_denominator(GenConfig(), Punctual()),
+) -> list[Fraction]:
+    lo_i = math.ceil(region.lo * denominator)
+    hi_i = math.floor(region.hi * denominator)
     if lo_i > hi_i:
         return [(region.lo + region.hi) / 2] * count
     if hi_i - lo_i + 1 <= count:
         picks = list(range(lo_i, hi_i + 1))
-    else:
+    elif hi_i - lo_i < sys.maxsize:
         picks = rng.sample(range(lo_i, hi_i + 1), count)
-    return [Fraction(i, d) for i in picks]
+    else:
+        # random.sample cannot size a range this long
+        picks = [lo_i + rng.randrange(hi_i - lo_i + 1) for _ in range(count)]
+    return [Fraction(i, denominator) for i in picks]
 
 
 @dataclass(frozen=True)
@@ -326,6 +346,7 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
     mode_name = "punctual" if isinstance(mode, Punctual) else "mitl"
     report = CampaignReport(mode=mode_name, config=cfg)
     box_bounds = "mitl" if isinstance(mode, SingletonFree) else "any"
+    sample_denominator = _sample_denominator(cfg, mode)
     for trial in range(cfg.trials):
         rng = _stream(cfg.seed, _TAG_TRIAL, trial)
         inner = gen_formula(cfg, trial, box_bounds=box_bounds)
@@ -357,7 +378,9 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
             )
         else:
             # the region-clipped truth sets serve: every sample lies in the region
-            points = _sample_points(rng, verdict.region, ORACLE_POINTS_PER_TRIAL)
+            points = _sample_points(
+                rng, verdict.region, ORACLE_POINTS_PER_TRIAL, sample_denominator
+            )
             s1, s2 = verdict.truths
             o1 = oracle_eval_many(wrapped, tr, points)
             o2 = oracle_eval_many(normalized, tr, points)

@@ -20,6 +20,9 @@ All arithmetic is exact: values are scaled by 4 * lcm, making every
 grid point an integer, and the per-node work runs on numpy arrays of
 int64 (the scaled magnitudes here stay far below the 64-bit range;
 anything larger is rejected loudly rather than silently wrapped).
+The grid is the run of consecutive integers from the scaled lower end
+lo, so grid index i is the scaled value lo + i, and every kernel is a
+linear scan over index arrays.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import PointOutsideHorizonError
+from .errors import OracleGridError, PointOutsideHorizonError
 from .intervals import rat
 from .syntax import (
     And,
@@ -71,20 +74,16 @@ def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
         return []
 
     scale = 4 * _common_denominator(f, tr, pts)
-    xs = _sample_grid(f, tr, scale)
-    table = _TruthTable(tr, xs, scale)
+    table = _TruthTable(tr, _sample_grid(f, tr, scale), scale)
     root = fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
-    out = []
-    for p in pts:
-        idx = int(np.searchsorted(xs, _scaled(p, scale)))
-        out.append(bool(root[idx]))
-    return out
+    return [bool(root[_scaled(p, scale) - table.lo]) for p in pts]
 
 
 def _scaled(x: Fraction, scale: int) -> int:
-    v = x * scale
-    assert v.denominator == 1
-    return v.numerator
+    """x * scale, exactly; scale must be a multiple of x's denominator."""
+    q, r = divmod(scale, x.denominator)
+    assert r == 0
+    return x.numerator * q
 
 
 def _common_denominator(f: Formula, tr: Trace, pts: Iterable[Fraction]) -> int:
@@ -107,80 +106,94 @@ def _sample_grid(f: Formula, tr: Trace, scale: int):
     past, future = temporal_reach(f)
     lo = _scaled(tr.horizon.lo - past, scale)
     hi = _scaled(tr.horizon.hi + future, scale)
+    if hi - lo > 50_000_000:
+        raise OracleGridError(
+            f"oracle sample grid too fine ({hi - lo + 1} points, limit 50000001); "
+            "denominators too diverse"
+        )
     if max(abs(lo), abs(hi)) >= _INT64_LIMIT:
         raise OverflowError("sample grid exceeds the exact integer range")
-    if hi - lo > 50_000_000:
-        raise MemoryError("sample grid too fine; denominators too diverse")
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 
 class _TruthTable:
     """Truth arrays over the sample grid, one node at a time from its
-    operands' arrays; fold supplies the operands bottom-up."""
+    operands' arrays; fold supplies the operands bottom-up.  The grid
+    index of a scaled value v is v - lo."""
 
     def __init__(self, tr: Trace, xs, scale: int):
         self.tr = tr
-        self.xs = xs
-        self.n = len(xs)
+        n = self.n = len(xs)
+        self.lo = int(xs[0])
         self.scale = scale
-        self.horizon_mask = self._span_mask(
-            _scaled(tr.horizon.lo, scale), _scaled(tr.horizon.hi, scale)
-        )
+        self.idx = np.arange(n, dtype=np.int64)
+        self.horizon_mask = np.zeros(n, dtype=bool)
+        self._fill_span(self.horizon_mask, tr.horizon)
 
-    def _span_mask(self, lo: int, hi: int) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
-        left = int(np.searchsorted(self.xs, lo, side="left"))
-        right = int(np.searchsorted(self.xs, hi, side="right"))
+    def _fill_span(self, mask: np.ndarray, span) -> None:
+        """Set the grid points of the closed span [span.lo, span.hi]; the
+        horizon and its facts lie inside the grid, so no index clips."""
+        left = _scaled(span.lo, self.scale) - self.lo
+        right = _scaled(span.hi, self.scale) - self.lo + 1
         mask[left:right] = True
-        return mask
 
     def predicate(self, node: Pred, kids) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
         for fact in self.tr.facts:
             if fact.predicate == node.name:
-                mask |= self._span_mask(
-                    _scaled(fact.span.lo, self.scale),
-                    _scaled(fact.span.hi, self.scale),
-                )
+                self._fill_span(mask, fact.span)
         return mask
 
+    def _shifted_index(self, offset: int) -> np.ndarray:
+        """clip(i + offset, 0, n) for every grid index i (two in-place
+        ufuncs: np.clip costs more in call overhead on these sizes)."""
+        out = self.idx + offset
+        np.maximum(out, 0, out=out)
+        return np.minimum(out, self.n, out=out)
+
     def _window_edges(self, bound, past: bool):
+        """Per grid index i, the half-open index range [left, right) of
+        the grid points inside i's window, clipped to the grid."""
         b1 = _scaled(bound.lo, self.scale)
         b2 = _scaled(bound.hi, self.scale)
-        if past:
-            lo_vals, hi_vals = self.xs - b2, self.xs - b1
-        else:
-            lo_vals, hi_vals = self.xs + b1, self.xs + b2
-        left = np.searchsorted(self.xs, lo_vals, side="left")
-        right = np.searchsorted(self.xs, hi_vals, side="right")
-        return left, right
+        first, last = (-b2, -b1) if past else (b1, b2)
+        return self._shifted_index(first), self._shifted_index(last + 1)
 
     def window_quantifier(self, node, kids, past: bool, universal: bool) -> np.ndarray:
         left, right = self._window_edges(node.bound, past)
-        prefix = np.concatenate(([0], np.cumsum(kids[0].astype(np.int64))))
-        count = prefix[right] - prefix[left]
+        prefix = _prefix_counts(kids[0])
         if universal:
             # every grid point in the window satisfies the body
-            return count == (right - left)
-        return count > 0
+            return prefix[right] - prefix[left] == right - left
+        return prefix[right] > prefix[left]
 
     def witness_scan(self, node, kids, past: bool) -> np.ndarray:
         """Since/until: a witness in the window with the left operand
         true at every grid point between the witness and the query
         point, both ends included."""
         holds, witness = kids
-        false_prefix = np.concatenate(([0], np.cumsum((~holds).astype(np.int64))))
-        wit_prefix = np.concatenate(([0], np.cumsum(witness.astype(np.int64))))
+        wit_prefix = _prefix_counts(witness)
         left, right = self._window_edges(node.bound, past)
         if past:
-            # smallest index j such that holds[j..i] is all true
-            reach_back = np.searchsorted(false_prefix, false_prefix[1:], side="left")
+            # smallest index j such that holds[j..i] is all true: one past
+            # the last false index at or before i (i + 1 if holds[i] is false)
+            reach_back = np.maximum.accumulate(np.where(holds, -1, self.idx)) + 1
             start = np.maximum(left, reach_back)
-            return (right > start) & (wit_prefix[right] - wit_prefix[start] > 0)
-        # one past the largest index j such that holds[i..j] is all true
-        reach_fwd = np.searchsorted(false_prefix, false_prefix[:-1], side="right") - 1
+            # prefix counts never fall, so a witness implies right > start
+            return wit_prefix[right] > wit_prefix[start]
+        # one past the largest index j such that holds[i..j] is all true:
+        # the first false index at or after i (n if there is none)
+        next_false = np.where(holds, self.n, self.idx)
+        reach_fwd = np.minimum.accumulate(next_false[::-1])[::-1]
         end = np.minimum(right, reach_fwd)
-        return (end > left) & (wit_prefix[end] - wit_prefix[left] > 0)
+        return wit_prefix[end] > wit_prefix[left]
+
+
+def _prefix_counts(mask: np.ndarray) -> np.ndarray:
+    """prefix[k] is the number of true entries in mask[:k]."""
+    prefix = np.zeros(len(mask) + 1, dtype=np.int64)
+    np.cumsum(mask, out=prefix[1:])
+    return prefix
 
 
 # node class -> array(table, node, operand arrays)

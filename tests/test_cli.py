@@ -283,3 +283,27 @@ class TestCheck:
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert json.dumps(a) == json.dumps(b)
+
+    @pytest.mark.parametrize("denominators", ["40", "43"])
+    def test_too_fine_oracle_grid_exits_2(self, capsys, denominators):
+        # at 43 the sample lattice is also longer than random.sample can size
+        flags = ("--trials", "3", "--bound-denominator-max", denominators)
+        code, out, err = run(capsys, "check", "--mode", "punctual", *flags)
+        assert code == cli.EXIT_SYNTAX == 2
+        assert out == ""
+        assert err.startswith("error: [ORACLE_GRID_TOO_FINE] ")
+        assert err.count("\n") == 1
+
+    def test_campaign_that_compared_nothing_exits_5(self, capsys):
+        flags = ("--horizon-length", "1/2", "--trials", "20")
+        code, out, err = run(capsys, "check", "--mode", "punctual", *flags)
+        assert code == cli.EXIT_NOTHING_COMPARED == 5
+        assert "trials: 0  passes: 0  failures: 0  empty-region: 20" in out
+        assert err == ""
+
+    def test_compared_nothing_keeps_json(self, capsys):
+        flags = ("--horizon-length", "1/2", "--trials", "4", "--json")
+        code, out, _ = run(capsys, "check", "--mode", "mitl", *flags)
+        assert code == 5
+        payload = json.loads(out)
+        assert (payload["trials"], payload["empty_regions"]) == (0, 4)

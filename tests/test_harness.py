@@ -11,6 +11,7 @@ import bmtl.rewrite as rewrite_module
 from bmtl.errors import ConfigError
 from bmtl.harness import (
     GenConfig,
+    _sample_denominator,
     _sample_points,
     _stream,
     check_equivalence,
@@ -135,6 +136,35 @@ class TestSamplePoints:
         region = Interval(F(1, 100), F(2, 100))
         pts = _sample_points(rng, region, 4)
         assert pts == [F(3, 200)] * 4
+
+    @pytest.mark.parametrize(
+        "cfg, mode, expected",
+        [
+            (GenConfig(), Punctual(), 24),
+            (GenConfig(), SingletonFree(), 24),
+            (GenConfig(bound_denominator_max=1), Punctual(), 2),
+            (GenConfig(bound_denominator_max=5), Punctual(), 120),
+            (GenConfig(horizon_length=F(2, 7)), Punctual(), 168),
+            (GenConfig(), SingletonFree(kappa=F(1, 5)), 120),
+        ],
+        ids=["default", "mitl", "bdm1", "bdm5", "horizon", "kappa"],
+    )
+    def test_denominator_covers_every_denominator_of_a_trial(self, cfg, mode, expected):
+        assert _sample_denominator(cfg, mode) == expected
+
+    def test_points_land_on_the_given_lattice(self):
+        rng = _stream(5, 3, 0)
+        region = Interval(F(-7, 3), F(11, 2))
+        pts = _sample_points(rng, region, 10, 120)
+        assert all((p * 120).denominator == 1 for p in pts)
+        assert any((p * 24).denominator != 1 for p in pts)
+
+    def test_lattice_longer_than_random_sample_can_size(self):
+        rng = _stream(5, 3, 0)
+        d = 2**80
+        pts = _sample_points(rng, Interval(F(0), F(10)), 10, d)
+        assert len(pts) == 10
+        assert all(0 <= p <= 10 and (p * d).denominator == 1 for p in pts)
 
 
 class TestCampaigns:

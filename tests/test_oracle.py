@@ -1,22 +1,35 @@
-"""Pointwise oracle: frozen values and a naive-reference cross-check.
+"""Pointwise oracle: frozen values and two reference cross-checks.
 
-The reference implementation below re-decides every quantifier by
-direct Fraction comparisons and linear scans over the same sampling
-lattice — no numpy, no prefix sums, no index arithmetic — so an error
-in the oracle's vectorized bookkeeping cannot hide in the reference.
+The naive reference below re-decides every quantifier by direct
+Fraction comparisons and linear scans over the same sampling lattice —
+no numpy, no prefix sums, no index arithmetic — so an error in the
+oracle's vectorized bookkeeping cannot hide in the reference.
+
+The kernel references compute the oracle's whole truth arrays by binary
+search on the grid values (np.searchsorted), without assuming that the
+grid is a run of consecutive integers, so a slip in the oracle's index
+arithmetic shows up at every grid point it touches.
 """
 
 import math
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bmtl.errors import PointOutsideHorizonError
+from bmtl.errors import BmtlError, OracleGridError, PointOutsideHorizonError
 from bmtl.evaluate import eval_truth_set
 from bmtl.intervals import Interval
-from bmtl.oracle import oracle_eval_at, oracle_eval_many
+from bmtl.oracle import (
+    _ARRAYS,
+    _TruthTable,
+    _common_denominator,
+    _sample_grid,
+    oracle_eval_at,
+    oracle_eval_many,
+)
 from bmtl.syntax import (
     And,
     Bound,
@@ -30,6 +43,7 @@ from bmtl.syntax import (
     Top,
     Until,
     all_bounds,
+    fold,
     temporal_reach,
 )
 from bmtl.traces import Fact, Trace
@@ -114,6 +128,105 @@ def naive_eval(f, tr: Trace, t: F) -> bool:
     pts = _lattice(tr, f, {t.denominator})
     tables = _naive_tables(f, tr, pts)
     return tables[f][pts.index(t)]
+
+
+# ----------------------------------------------------- kernel references
+
+
+def _as_int(x) -> int:
+    assert F(x).denominator == 1
+    return int(x)
+
+
+def _reference_span_mask(xs, lo: int, hi: int) -> np.ndarray:
+    mask = np.zeros(len(xs), dtype=bool)
+    left = int(np.searchsorted(xs, lo, side="left"))
+    right = int(np.searchsorted(xs, hi, side="right"))
+    mask[left:right] = True
+    return mask
+
+
+def _reference_window_edges(xs, scale: int, bound, past: bool):
+    b1 = _as_int(bound.lo * scale)
+    b2 = _as_int(bound.hi * scale)
+    if past:
+        lo_vals, hi_vals = xs - b2, xs - b1
+    else:
+        lo_vals, hi_vals = xs + b1, xs + b2
+    left = np.searchsorted(xs, lo_vals, side="left")
+    right = np.searchsorted(xs, hi_vals, side="right")
+    return left, right
+
+
+def _reference_window_quantifier(xs, scale, bound, body, past, universal):
+    left, right = _reference_window_edges(xs, scale, bound, past)
+    prefix = np.concatenate(([0], np.cumsum(body.astype(np.int64))))
+    count = prefix[right] - prefix[left]
+    return count == (right - left) if universal else count > 0
+
+
+def _reference_witness_scan(xs, scale, bound, holds, witness, past):
+    false_prefix = np.concatenate(([0], np.cumsum((~holds).astype(np.int64))))
+    wit_prefix = np.concatenate(([0], np.cumsum(witness.astype(np.int64))))
+    left, right = _reference_window_edges(xs, scale, bound, past)
+    if past:
+        # smallest index j such that holds[j..i] is all true
+        reach_back = np.searchsorted(false_prefix, false_prefix[1:], side="left")
+        start = np.maximum(left, reach_back)
+        return (right > start) & (wit_prefix[right] - wit_prefix[start] > 0)
+    # one past the largest index j such that holds[i..j] is all true
+    reach_fwd = np.searchsorted(false_prefix, false_prefix[:-1], side="right") - 1
+    end = np.minimum(right, reach_fwd)
+    return (end > left) & (wit_prefix[end] - wit_prefix[left] > 0)
+
+
+def _reference_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
+    """Every node's truth array over the grid xs, in fold order."""
+
+    def span(s):
+        return _reference_span_mask(xs, _as_int(s.lo * scale), _as_int(s.hi * scale))
+
+    horizon = span(tr.horizon)
+
+    def step(node, kids):
+        if isinstance(node, Pred):
+            out = np.zeros(len(xs), dtype=bool)
+            for fact in tr.facts:
+                if fact.predicate == node.name:
+                    out |= span(fact.span)
+        elif isinstance(node, Top):
+            out = horizon
+        elif isinstance(node, Not):
+            out = horizon & ~kids[0]
+        elif isinstance(node, And):
+            out = kids[0] & kids[1]
+        elif isinstance(node, (Since, Until)):
+            past = isinstance(node, Since)
+            out = _reference_witness_scan(xs, scale, node.bound, *kids, past)
+        else:
+            past = isinstance(node, (DiaMinus, BoxMinus))
+            universal = isinstance(node, (BoxMinus, BoxPlus))
+            out = _reference_window_quantifier(
+                xs, scale, node.bound, kids[0], past, universal
+            )
+        arrays.append(out)
+        return out
+
+    arrays: list = []
+    fold(f, step)
+    return arrays
+
+
+def _oracle_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
+    table = _TruthTable(tr, xs, scale)
+    arrays: list = []
+
+    def step(node, kids):
+        arrays.append(_ARRAYS[type(node)](table, node, kids))
+        return arrays[-1]
+
+    fold(f, step)
+    return arrays
 
 
 # ----------------------------------------------------------------- fixtures
@@ -204,3 +317,104 @@ class TestAgainstNaiveReference:
         )
         t = F(numer, 4)
         assert oracle_eval_at(f, tr, t) == eval_truth_set(f, tr).contains_point(t)
+
+
+def _bool_rows(n: int):
+    rows = st.lists(st.booleans(), min_size=n, max_size=n)
+    return rows.map(lambda row: np.array(row, dtype=bool))
+
+
+@st.composite
+def grid_kernels(draw):
+    """A grid of n consecutive integers starting at lo, operand rows on
+    it, and an integer bound whose windows may reach past both ends."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    lo = draw(st.integers(min_value=-20, max_value=20))
+    holds = draw(
+        st.one_of(
+            _bool_rows(n),
+            st.just(np.ones(n, dtype=bool)),
+            st.just(np.zeros(n, dtype=bool)),
+        )
+    )
+    witness = draw(_bool_rows(n))
+    a = draw(st.integers(min_value=0, max_value=n + 3))
+    b = draw(st.one_of(st.just(a), st.integers(min_value=0, max_value=n + 3)))
+    bound = Bound(F(min(a, b)), F(max(a, b)))
+    return lo, n, holds, witness, bound
+
+
+def _unit_table(lo: int, n: int):
+    xs = np.arange(lo, lo + n, dtype=np.int64)
+    # the kernels never read the horizon; it only has to be valid
+    tr = Trace(Interval(F(lo), F(lo + n)), ())
+    return xs, _TruthTable(tr, xs, 1)
+
+
+def _assert_kernels_match(lo, n, holds, witness, bound):
+    xs, table = _unit_table(lo, n)
+    for past in (True, False):
+        new_edges = table._window_edges(bound, past)
+        ref_edges = _reference_window_edges(xs, 1, bound, past)
+        for new, ref in zip(new_edges, ref_edges):
+            np.testing.assert_array_equal(new, ref)
+        for universal in (True, False):
+            np.testing.assert_array_equal(
+                table.window_quantifier(
+                    DiaPlus(bound, Pred("p")), [witness], past, universal
+                ),
+                _reference_window_quantifier(xs, 1, bound, witness, past, universal),
+            )
+        np.testing.assert_array_equal(
+            table.witness_scan(Since(Pred("p"), bound, Pred("q")), [holds, witness], past),
+            _reference_witness_scan(xs, 1, bound, holds, witness, past),
+        )
+
+
+class TestKernelsAgainstSearchsorted:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_kernels())
+    @example((0, 1, np.ones(1, bool), np.ones(1, bool), Bound(F(0), F(0))))
+    @example((-3, 5, np.zeros(5, bool), np.ones(5, bool), Bound(F(2), F(2))))
+    @example((4, 6, np.ones(6, bool), np.zeros(6, bool), Bound(F(7), F(9))))
+    def test_kernels_match_reference_on_whole_arrays(self, case):
+        _assert_kernels_match(*case)
+
+    @pytest.mark.parametrize(
+        "a, b", [(0, 0), (2, 2), (2, 4), (0, 8), (0, 9), (10, 12)]
+    )
+    @pytest.mark.parametrize("holds", ["all-true", "all-false", "alternating"])
+    def test_single_witness_at_every_position(self, a, b, holds):
+        n = 9
+        rows = {
+            "all-true": np.ones(n, dtype=bool),
+            "all-false": np.zeros(n, dtype=bool),
+            "alternating": np.arange(n) % 2 == 0,
+        }
+        for j in range(n):
+            # anchors i = j + a and j + b (or j - a, j - b) put the
+            # witness exactly on an edge of i's window
+            witness = np.arange(n) == j
+            _assert_kernels_match(-4, n, rows[holds], witness, Bound(F(a), F(b)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_formulas(), small_traces(), st.sampled_from((1, 3)))
+    def test_truth_arrays_match_reference(self, f, tr, refine):
+        scale = 4 * refine * _common_denominator(f, tr, [])
+        xs = _sample_grid(f, tr, scale)
+        new = _oracle_truth_arrays(f, tr, xs, scale)
+        ref = _reference_truth_arrays(f, tr, xs, scale)
+        assert len(new) == len(ref)
+        for a, b in zip(new, ref):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestGridLimits:
+    def test_too_fine_grid_raises_oracle_grid_error(self):
+        tr = Trace(Interval(F(0), F(100)), ())
+        f = DiaPlus(Bound(F(0), F(1, 1_000_003)), Top())
+        with pytest.raises(OracleGridError) as info:
+            oracle_eval_at(f, tr, F(1))
+        assert isinstance(info.value, BmtlError)
+        assert isinstance(info.value, MemoryError)
+        assert info.value.code == "ORACLE_GRID_TOO_FINE"
