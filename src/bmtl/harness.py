@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, OracleGridError
 from .evaluate import combined_reliable_region, eval_truth_set
 from .intervals import Interval, IntervalSet, from_interval, rat
-from .oracle import oracle_eval_many
+from .oracle import _common_denominator, oracle_eval_many
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
 from .syntax import KINDS_BY_NAME, Bound, BoxMinus, BoxPlus, Formula, Pred, print_formula
 from .traces import Fact, Trace, format_trace
@@ -224,43 +224,45 @@ def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
     )
 
 
-def _sample_denominator(cfg: GenConfig, mode: RewriteMode) -> int:
-    """Denominator of the lattice sample points are drawn from: twice
-    the lcm of every denominator the generators and settings produce
-    (bounds, facts, slacks, the horizon ends; 24 at the defaults).  The
-    original formula's truth-set endpoints lie on the 1/lcm lattice, and
-    points are sampled only once both truth sets agree, so this lattice
-    has a point inside every piece under comparison.
+def _sample_denominator(f: Formula, tr: Trace, region: Interval) -> int:
+    """Denominator of the lattice a trial's sample points are drawn
+    from: lcm(24, L, the region ends' denominators), where L is the lcm
+    of the formula's and trace's denominators; 24 at the default
+    settings, where L divides 12.
 
-    It does refine the oracle's grid, whose step is 1/(4*lcm) over the
-    denominators in sight, query points included: a sampled point
-    usually brings factors the trial's own formula and trace lack.  At
-    the defaults that makes the grid 2x finer in most trials and up to
-    24x finer in some.
+    f's truth-set endpoints lie on the 1/L lattice, and points are
+    sampled only once both truth sets agree, so every end of a piece
+    under comparison, region ends included, is a lattice point, and a
+    piece with a closed end holds one.  An open piece is at least 1/L
+    wide, so it holds one whenever the lattice is finer than 1/L, as it
+    is whenever 24 does not divide L.
+
+    Sample points do refine the oracle's grid, whose step is 1/(4*lcm)
+    over the denominators in sight, query points included: at the
+    defaults 2x in most trials and up to 24x in some.  Drawn from this
+    lattice, they refine it by at most lcm(24, L)/L, as points on a fixed
+    1/24 lattice do; the region ends add only denominators the
+    normalized formula's own grid already has.
     """
-    dens = [*range(1, cfg.bound_denominator_max + 1), (cfg.horizon_length / 2).denominator]
-    if isinstance(mode, SingletonFree):
-        dens += [s.denominator for s in (mode.kappa, mode.lam) if s is not None]
-    return 2 * math.lcm(*dens)
+    dens = (region.lo.denominator, region.hi.denominator)
+    return math.lcm(24, _common_denominator(f, tr, ()), *dens)
 
 
 def _sample_points(
-    rng: random.Random,
-    region: Interval,
-    count: int,
-    denominator: int = _sample_denominator(GenConfig(), Punctual()),
+    rng: random.Random, region: Interval, count: int, denominator: int
 ) -> list[Fraction]:
     lo_i = math.ceil(region.lo * denominator)
     hi_i = math.floor(region.hi * denominator)
     if lo_i > hi_i:
         return [(region.lo + region.hi) / 2] * count
+    if hi_i - lo_i >= sys.maxsize:
+        raise OracleGridError(
+            f"sample lattice too fine ({hi_i - lo_i + 1} points); denominators too diverse"
+        )
     if hi_i - lo_i + 1 <= count:
         picks = list(range(lo_i, hi_i + 1))
-    elif hi_i - lo_i < sys.maxsize:
-        picks = rng.sample(range(lo_i, hi_i + 1), count)
     else:
-        # random.sample cannot size a range this long
-        picks = [lo_i + rng.randrange(hi_i - lo_i + 1) for _ in range(count)]
+        picks = rng.sample(range(lo_i, hi_i + 1), count)
     return [Fraction(i, denominator) for i in picks]
 
 
@@ -346,7 +348,6 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
     mode_name = "punctual" if isinstance(mode, Punctual) else "mitl"
     report = CampaignReport(mode=mode_name, config=cfg)
     box_bounds = "mitl" if isinstance(mode, SingletonFree) else "any"
-    sample_denominator = _sample_denominator(cfg, mode)
     for trial in range(cfg.trials):
         rng = _stream(cfg.seed, _TAG_TRIAL, trial)
         inner = gen_formula(cfg, trial, box_bounds=box_bounds)
@@ -378,9 +379,9 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
             )
         else:
             # the region-clipped truth sets serve: every sample lies in the region
-            points = _sample_points(
-                rng, verdict.region, ORACLE_POINTS_PER_TRIAL, sample_denominator
-            )
+            region = verdict.region
+            denominator = _sample_denominator(wrapped, tr, region)
+            points = _sample_points(rng, region, ORACLE_POINTS_PER_TRIAL, denominator)
             s1, s2 = verdict.truths
             o1 = oracle_eval_many(wrapped, tr, points)
             o2 = oracle_eval_many(normalized, tr, points)

@@ -8,7 +8,7 @@ import pytest
 import bmtl.evaluate as evaluate_module
 import bmtl.harness as harness_module
 import bmtl.rewrite as rewrite_module
-from bmtl.errors import ConfigError
+from bmtl.errors import ConfigError, OracleGridError
 from bmtl.harness import (
     GenConfig,
     _sample_denominator,
@@ -127,30 +127,30 @@ class TestSamplePoints:
     def test_points_stay_inside_region(self):
         rng = _stream(5, 3, 0)
         region = Interval(F(-7, 3), F(11, 2))
-        pts = _sample_points(rng, region, 10)
+        pts = _sample_points(rng, region, 10, 24)
         assert len(pts) == 10
         assert all(region.contains(p) for p in pts)
 
     def test_narrow_region_falls_back_to_midpoint(self):
         rng = _stream(5, 3, 0)
         region = Interval(F(1, 100), F(2, 100))
-        pts = _sample_points(rng, region, 4)
+        pts = _sample_points(rng, region, 4, 24)
         assert pts == [F(3, 200)] * 4
 
     @pytest.mark.parametrize(
-        "cfg, mode, expected",
+        "f, region, expected",
         [
-            (GenConfig(), Punctual(), 24),
-            (GenConfig(), SingletonFree(), 24),
-            (GenConfig(bound_denominator_max=1), Punctual(), 2),
-            (GenConfig(bound_denominator_max=5), Punctual(), 120),
-            (GenConfig(horizon_length=F(2, 7)), Punctual(), 168),
-            (GenConfig(), SingletonFree(kappa=F(1, 5)), 120),
+            (DiaMinus(Bound(F(1, 4), F(3, 2)), Pred("p")), Interval(F(-3), F(5)), 24),
+            (DiaMinus(Bound(F(1, 5), F(3, 2)), Pred("p")), Interval(F(-3), F(5)), 120),
+            (DiaMinus(Bound(F(1, 8), F(3, 2)), Pred("p")), Interval(F(-3), F(5)), 24),
+            (DiaMinus(Bound(F(1, 16), F(1)), Pred("p")), Interval(F(-3), F(5)), 48),
+            (Pred("p"), Interval(F(-3), F(5, 16)), 48),
         ],
-        ids=["default", "mitl", "bdm1", "bdm5", "horizon", "kappa"],
+        ids=["default", "fifths", "eighths", "sixteenths", "region"],
     )
-    def test_denominator_covers_every_denominator_of_a_trial(self, cfg, mode, expected):
-        assert _sample_denominator(cfg, mode) == expected
+    def test_denominator_comes_from_the_trial(self, f, region, expected):
+        tr = Trace(Interval(F(-4), F(6)), (Fact("p", Interval(F(1, 3), F(2))),))
+        assert _sample_denominator(f, tr, region) == expected
 
     def test_points_land_on_the_given_lattice(self):
         rng = _stream(5, 3, 0)
@@ -159,12 +159,30 @@ class TestSamplePoints:
         assert all((p * 120).denominator == 1 for p in pts)
         assert any((p * 24).denominator != 1 for p in pts)
 
-    def test_lattice_longer_than_random_sample_can_size(self):
+    def test_lattice_too_long_to_sample_is_a_grid_error(self):
         rng = _stream(5, 3, 0)
-        d = 2**80
-        pts = _sample_points(rng, Interval(F(0), F(10)), 10, d)
-        assert len(pts) == 10
-        assert all(0 <= p <= 10 and (p * d).denominator == 1 for p in pts)
+        with pytest.raises(OracleGridError):
+            _sample_points(rng, Interval(F(0), F(10)), 10, 2**80)
+
+    @pytest.mark.parametrize("mode", [Punctual(), SingletonFree()], ids=["punctual", "mitl"])
+    def test_default_campaign_samples_the_24_lattice(self, monkeypatch, mode):
+        seen = []
+
+        def recording(f, tr, region):
+            seen.append(_sample_denominator(f, tr, region))
+            return seen[-1]
+
+        monkeypatch.setattr(harness_module, "_sample_denominator", recording)
+        report = run_campaign(GenConfig(seed=7, trials=60), mode)
+        assert len(seen) == report.trials > 0
+        assert set(seen) == {24}
+
+    def test_finer_denominators_keep_the_oracle_grid_in_reach(self):
+        # drawing samples from every denominator the settings allow
+        # (twice the lcm of 1..13) made the first trial's grid too fine
+        cfg = GenConfig(seed=0, trials=3, bound_denominator_max=13)
+        report = run_campaign(cfg, Punctual())
+        assert (report.trials, report.passes) == (3, 3)
 
 
 class TestCampaigns:
