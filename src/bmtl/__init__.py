@@ -18,6 +18,7 @@ from .errors import (
     NonpositiveSlackError,
     NotApplicableError,
     OracleGridError,
+    OracleGridRangeError,
     ParseError,
     PointOutsideHorizonError,
     RewriteError,

@@ -85,3 +85,9 @@ class OracleGridError(BmtlError, MemoryError):
     """The oracle's sample grid would be too large to build."""
 
     code = "ORACLE_GRID_TOO_FINE"
+
+
+class OracleGridRangeError(OracleGridError):
+    """The oracle's scaled sample grid would leave the exact 64-bit range."""
+
+    code = "ORACLE_GRID_OUT_OF_RANGE"

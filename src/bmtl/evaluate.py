@@ -26,6 +26,18 @@ pieces of successive parts are already in canonical order.  The
 clause costs O(n + m) interval operations for n parts of truth(A1) and
 m parts of truth(A2).
 
+Evaluation runs in integer time.  At entry, L is the lcm of the
+denominators of the horizon, of the formula's bounds and of the truth
+bases it reads; the horizon, those bases and each bound are multiplied
+by L once, which makes every endpoint an int.  The clauses then run
+unchanged on int endpoints, where compare and add cost a fraction of
+their Fraction counterparts, and the result is divided by L once at
+exit, so every endpoint handed out is a Fraction again.  This is exact:
+each clause only compares endpoints and adds bound endpoints to them,
+so it commutes with multiplying all of time by L > 0, and sums and
+differences of ints stay ints, so no rounding and no float enters.  The
+scaled copies live only for the one call.
+
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
 reliable region, where no window reaches past the ends of the horizon,
@@ -34,10 +46,19 @@ the result agrees with evaluation over any extension of the trace.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
-from .intervals import Interval, IntervalSet, from_interval
+from .intervals import (
+    Interval,
+    IntervalSet,
+    from_interval,
+    from_scaled,
+    scaled_value,
+    to_scaled,
+)
 from .syntax import (
+    KINDS,
     And,
     BoxMinus,
     BoxPlus,
@@ -54,25 +75,58 @@ from .syntax import (
 )
 from .traces import Trace
 
-# node class -> clause(node, operand truth sets, trace, horizon as a set)
+# node class -> clause(node, operand truth sets, the trace in integer time)
 _CLAUSES = {
-    Pred: lambda n, k, tr, h: tr.truth_base(n.name),
-    Top: lambda n, k, tr, h: h,
+    Pred: lambda n, k, t: t.bases[n.name],
+    Top: lambda n, k, t: t.horizon_set,
     # clip first: dilated subsets may poke beyond the horizon
-    Not: lambda n, k, tr, h: k[0].intersect(h).complement_within(tr.horizon),
-    And: lambda n, k, tr, h: k[0].intersect(k[1]),
-    DiaMinus: lambda n, k, tr, h: k[0].dilate(n.bound.lo, n.bound.hi),
-    DiaPlus: lambda n, k, tr, h: k[0].dilate(-n.bound.hi, -n.bound.lo),
-    BoxMinus: lambda n, k, tr, h: k[0].erode(n.bound.lo, n.bound.hi, "past"),
-    BoxPlus: lambda n, k, tr, h: k[0].erode(n.bound.lo, n.bound.hi, "future"),
-    Since: lambda n, k, tr, h: _binary_clause(k[0], k[1], n.bound.lo, n.bound.hi),
-    Until: lambda n, k, tr, h: _binary_clause(k[0], k[1], -n.bound.hi, -n.bound.lo),
+    Not: lambda n, k, t: k[0].intersect(t.horizon_set).complement_within(t.horizon),
+    And: lambda n, k, t: k[0].intersect(k[1]),
+    DiaMinus: lambda n, k, t: k[0].dilate(t.of(n.bound.lo), t.of(n.bound.hi)),
+    DiaPlus: lambda n, k, t: k[0].dilate(-t.of(n.bound.hi), -t.of(n.bound.lo)),
+    BoxMinus: lambda n, k, t: k[0].erode(t.of(n.bound.lo), t.of(n.bound.hi), "past"),
+    BoxPlus: lambda n, k, t: k[0].erode(t.of(n.bound.lo), t.of(n.bound.hi), "future"),
+    Since: lambda n, k, t: _binary_clause(k[0], k[1], t.of(n.bound.lo), t.of(n.bound.hi)),
+    Until: lambda n, k, t: _binary_clause(k[0], k[1], -t.of(n.bound.hi), -t.of(n.bound.lo)),
 }
 
 
 def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
-    horizon = from_interval(tr.horizon)
-    return fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, tr, horizon))
+    t = _IntegerTime(f, tr)
+    truth = fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, t))
+    return from_scaled(truth, t.scale)
+
+
+class _IntegerTime:
+    """The horizon and the truth bases f reads, scaled to integer time.
+
+    scale is the lcm of the denominators of the horizon, of f's bounds
+    and of those bases; ``of`` scales a bound endpoint.  A per-call
+    temporary: nothing scaled outlives the evaluation.
+    """
+
+    def __init__(self, f: Formula, tr: Trace):
+        names: set[str] = set()
+        dens = {tr.horizon.lo.denominator, tr.horizon.hi.denominator}
+
+        def visit(node: Formula, kids: list) -> None:
+            if type(node) is Pred:
+                names.add(node.name)
+            elif KINDS[type(node)].bounded:
+                dens.update((node.bound.lo.denominator, node.bound.hi.denominator))
+
+        fold(f, visit)
+        bases = {name: tr.truth_base(name) for name in names}
+        for base in bases.values():
+            for p in base.parts:
+                dens.update((p.lo.denominator, p.hi.denominator))
+        self.scale = math.lcm(*dens)
+        self.horizon_set = to_scaled(from_interval(tr.horizon), self.scale)
+        self.horizon = self.horizon_set.parts[0]
+        self.bases = {name: to_scaled(base, self.scale) for name, base in bases.items()}
+
+    def of(self, x) -> int:
+        return scaled_value(x, self.scale)
 
 
 def _binary_clause(holds: IntervalSet, witness: IntervalSet, shift_lo, shift_hi) -> IntervalSet:

@@ -3,13 +3,17 @@
 Sets of time points are kept in a canonical form: a sorted tuple of
 pairwise disjoint, non-adjacent intervals with per-endpoint open/closed
 flags.  Canonical form is unique, so structural equality coincides with
-point-set equality.  All arithmetic is exact (``fractions.Fraction``);
-floats never enter the core.
+point-set equality.  All arithmetic is exact: the public constructors
+coerce endpoints to ``fractions.Fraction``, and the set operations keep
+whatever exact type their operands carry, so a set whose endpoints are
+ints (time scaled by a common denominator, see :func:`to_scaled`) stays
+integer throughout.  Floats never enter the core.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Union
@@ -24,7 +28,7 @@ def rat(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """A nonempty rational interval with open/closed endpoint flags.
 
@@ -40,10 +44,7 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", rat(self.lo))
         object.__setattr__(self, "hi", rat(self.hi))
-        if self.lo > self.hi:
-            raise ValueError(f"inverted interval endpoints: {self.lo} > {self.hi}")
-        if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
-            raise ValueError("singleton interval requires both endpoints closed")
+        _check_endpoints(self.lo, self.hi, self.lo_closed, self.hi_closed)
 
     def contains(self, t: RationalLike) -> bool:
         t = rat(t)
@@ -73,7 +74,7 @@ class Interval:
             hi, hc = self.hi, self.hi_closed and other.hi_closed
         else:
             hi, hc = other.hi, other.hi_closed
-        return make_interval(lo, hi, lc, hc)
+        return _maybe_interval(lo, hi, lc, hc)
 
     @property
     def width(self) -> Fraction:
@@ -85,33 +86,60 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
+def _check_endpoints(lo, hi, lo_closed: bool, hi_closed: bool) -> None:
+    if lo > hi:
+        raise ValueError(f"inverted interval endpoints: {lo} > {hi}")
+    if not (lo_closed and hi_closed) and lo == hi:
+        raise ValueError("singleton interval requires both endpoints closed")
+
+
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _interval(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
+    """An Interval whose endpoints are kept as given, Fractions or ints.
+
+    Every operation below builds its intervals here, so integer sets
+    stay integer.  The checks are the constructor's; only the coercion
+    is skipped, by filling the frozen slots directly.
+    """
+    _check_endpoints(lo, hi, lo_closed, hi_closed)
+    p = _new(Interval)
+    _set(p, "lo", lo)
+    _set(p, "hi", hi)
+    _set(p, "lo_closed", lo_closed)
+    _set(p, "hi_closed", hi_closed)
+    return p
+
+
+def _maybe_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> Optional[Interval]:
+    """:func:`_interval`, or None where the endpoints leave it empty."""
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return None
+    return _interval(lo, hi, lo_closed, hi_closed)
+
+
+def _exact(x: RationalLike) -> RationalLike:
+    """Ints and Fractions as they are (both exact); anything else via rat."""
+    return x if type(x) is int or type(x) is Fraction else rat(x)
+
+
 def make_interval(
     lo: RationalLike, hi: RationalLike, lo_closed: bool = True, hi_closed: bool = True
 ) -> Optional[Interval]:
     """Build an interval, collapsing empty results to None."""
-    lo, hi = rat(lo), rat(hi)
-    if lo > hi:
-        return None
-    if lo == hi and not (lo_closed and hi_closed):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
+    return _maybe_interval(rat(lo), rat(hi), lo_closed, hi_closed)
 
 
-def _starts_before(a: Interval, b: Interval) -> bool:
-    """Order on lower endpoints; a closed start precedes an open one."""
-    if a.lo != b.lo:
-        return a.lo < b.lo
-    return a.lo_closed and not b.lo_closed
+def _separated(a: Interval, b: Interval) -> bool:
+    """a ends before b starts, with a point of neither between them.
 
-
-def _mergeable(cur: Interval, nxt: Interval) -> bool:
-    # Assumes cur starts no later than nxt.  The two fuse into one
-    # interval iff they overlap, or abut with the shared point covered.
-    if nxt.lo < cur.hi:
-        return True
-    if nxt.lo == cur.hi and (cur.hi_closed or nxt.lo_closed):
-        return True
-    return False
+    Two parts in start order fuse into one interval iff they are not
+    separated, and a part list is canonical iff each part is separated
+    from the next (then it also starts first, as a is nonempty).
+    """
+    return a.hi < b.lo or (a.hi == b.lo and not (a.hi_closed or b.lo_closed))
 
 
 def _merge(cur: Interval, nxt: Interval) -> Interval:
@@ -125,7 +153,7 @@ def _merge(cur: Interval, nxt: Interval) -> Interval:
         hi, hc = cur.hi, cur.hi_closed or nxt.hi_closed
     else:
         hi, hc = cur.hi, cur.hi_closed
-    return Interval(cur.lo, hi, lc, hc)
+    return _interval(cur.lo, hi, lc, hc)
 
 
 @dataclass(frozen=True)
@@ -141,7 +169,7 @@ class IntervalSet:
 
     def __post_init__(self):
         for a, b in zip(self.parts, self.parts[1:]):
-            if not _starts_before(a, b) or _mergeable(a, b):
+            if not _separated(a, b):
                 raise ValueError("parts not in canonical form")
 
     def __iter__(self) -> Iterator[Interval]:
@@ -184,11 +212,11 @@ class IntervalSet:
         out: list[Interval] = []
         cursor, inclusive = universe.lo, universe.lo_closed
         for p in self.parts:
-            gap = make_interval(cursor, p.lo, inclusive, not p.lo_closed)
+            gap = _maybe_interval(cursor, p.lo, inclusive, not p.lo_closed)
             if gap is not None:
                 out.append(gap)
             cursor, inclusive = p.hi, not p.hi_closed
-        tail = make_interval(cursor, universe.hi, inclusive, universe.hi_closed)
+        tail = _maybe_interval(cursor, universe.hi, inclusive, universe.hi_closed)
         if tail is not None:
             out.append(tail)
         return IntervalSet(tuple(out))
@@ -198,11 +226,12 @@ class IntervalSet:
 
         Shifts may be negative; endpoint closedness follows the source.
         """
-        shift_lo, shift_hi = rat(shift_lo), rat(shift_hi)
+        shift_lo, shift_hi = _exact(shift_lo), _exact(shift_hi)
         if shift_lo > shift_hi:
             raise ValueError("inverted shift interval")
-        return coalesce(
-            Interval(p.lo + shift_lo, p.hi + shift_hi, p.lo_closed, p.hi_closed)
+        # one shift moves every start, so the parts stay in start order
+        return _fuse(
+            _interval(p.lo + shift_lo, p.hi + shift_hi, p.lo_closed, p.hi_closed)
             for p in self.parts
         )
 
@@ -214,7 +243,7 @@ class IntervalSet:
         Because the set is canonical, a closed window fits iff it fits
         inside one single part, so each part shrinks independently.
         """
-        lo, hi = rat(lo), rat(hi)
+        lo, hi = _exact(lo), _exact(hi)
         if lo < 0:
             raise NegativeBoundError("erosion window must not reach negative offsets")
         if lo > hi:
@@ -222,14 +251,15 @@ class IntervalSet:
         out: list[Interval] = []
         for p in self.parts:
             if direction == "past":
-                piece = make_interval(p.lo + hi, p.hi + lo, p.lo_closed, p.hi_closed)
+                piece = _maybe_interval(p.lo + hi, p.hi + lo, p.lo_closed, p.hi_closed)
             elif direction == "future":
-                piece = make_interval(p.lo - lo, p.hi - hi, p.lo_closed, p.hi_closed)
+                piece = _maybe_interval(p.lo - lo, p.hi - hi, p.lo_closed, p.hi_closed)
             else:
                 raise ValueError(f"unknown erosion direction: {direction!r}")
             if piece is not None:
                 out.append(piece)
-        return coalesce(out)
+        # one shift moves every start, so the pieces stay in start order
+        return _fuse(out)
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return self.intersect(other) == self
@@ -250,15 +280,23 @@ def _start_key(p: Interval) -> tuple[Fraction, bool]:
 
 
 def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
-    """Canonicalize a raw collection of intervals (Nones are dropped)."""
-    return _fuse(sorted((p for p in raw if p is not None), key=_start_key))
+    """Canonicalize a raw collection of intervals (Nones are dropped).
+
+    Sorts in :func:`_start_key` order on an exact integer key: each start
+    scaled by the lcm of the starts' denominators, so no comparison in
+    the sort touches a Fraction.
+    """
+    pieces = [p for p in raw if p is not None]
+    scale = math.lcm(*{p.lo.denominator for p in pieces})
+    pieces.sort(key=lambda p: (p.lo.numerator * (scale // p.lo.denominator), not p.lo_closed))
+    return _fuse(pieces)
 
 
 def _fuse(pieces: Iterable[Interval]) -> IntervalSet:
     """Canonical set from intervals already ordered by :func:`_start_key`."""
     out: list[Interval] = []
     for p in pieces:
-        if out and _mergeable(out[-1], p):
+        if out and not _separated(out[-1], p):
             out[-1] = _merge(out[-1], p)
         else:
             out.append(p)
@@ -267,3 +305,32 @@ def _fuse(pieces: Iterable[Interval]) -> IntervalSet:
 
 def from_interval(p: Interval) -> IntervalSet:
     return IntervalSet((p,))
+
+
+def to_scaled(s: IntervalSet, scale: int) -> IntervalSet:
+    """s in integer time: every endpoint times scale, as an int.
+
+    scale must be a positive multiple of every endpoint's denominator.
+    Positive scaling keeps the order of endpoints, so the result is
+    canonical whenever s is.
+    """
+    return IntervalSet(tuple(
+        _interval(scaled_value(p.lo, scale), scaled_value(p.hi, scale), p.lo_closed, p.hi_closed)
+        for p in s.parts
+    ))
+
+
+def from_scaled(s: IntervalSet, scale: int) -> IntervalSet:
+    """Inverse of :func:`to_scaled`: every endpoint divided by scale, as a Fraction."""
+    return IntervalSet(tuple(
+        _interval(Fraction(p.lo, scale), Fraction(p.hi, scale), p.lo_closed, p.hi_closed)
+        for p in s.parts
+    ))
+
+
+def scaled_value(x: RationalLike, scale: int) -> int:
+    """x * scale as an int; scale must be a multiple of x's denominator."""
+    q, r = divmod(scale, x.denominator)
+    if r:
+        raise ValueError(f"scale {scale} is not a multiple of the denominator of {x}")
+    return x.numerator * q

@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import OracleGridError, PointOutsideHorizonError
+from .errors import OracleGridError, OracleGridRangeError, PointOutsideHorizonError
 from .intervals import rat
 from .syntax import (
     And,
@@ -112,7 +112,10 @@ def _sample_grid(f: Formula, tr: Trace, scale: int):
             "denominators too diverse"
         )
     if max(abs(lo), abs(hi)) >= _INT64_LIMIT:
-        raise OverflowError("sample grid exceeds the exact integer range")
+        raise OracleGridRangeError(
+            f"oracle sample grid ends {lo} and {hi} (scaled by {scale}) exceed the "
+            "exact 64-bit range; times too far from 0"
+        )
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 

@@ -10,6 +10,16 @@ File format, one item per line, ``#`` comments allowed:
 The horizon line must come first.  Fact order is irrelevant; spans for
 the same predicate may overlap and are coalesced into a canonical truth
 base.  Predicates never mentioned have an empty base (closed-world).
+
+Ingest does one horizon-containment check per fact: ``parse_trace``
+checks each fact as it reads its line, so an outside fact is reported
+at its own line even when a later line is malformed.  ``Trace`` then
+checks only the hull of each coalesced base, its first and last part
+(facts are closed, so every part lies between those two), and scans the
+facts in order only when that check fails, to name the first offender.
+Rationals are built from the matched digits as ``Fraction(int, int)``,
+and coalescing sorts on an exact integer key (see
+:func:`bmtl.intervals.coalesce`).
 """
 
 from __future__ import annotations
@@ -21,9 +31,10 @@ from fractions import Fraction
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
 from .intervals import EMPTY, Interval, IntervalSet, coalesce
 
-_RAT = r"-?\d+(?:/\d+)?"
-_HORIZON_RE = re.compile(rf"^horizon\s*\[\s*({_RAT})\s*,\s*({_RAT})\s*\]$")
-_FACT_RE = re.compile(rf"^([A-Za-z][A-Za-z0-9_]*)\s*@\s*\[\s*({_RAT})\s*,\s*({_RAT})\s*\]$")
+# a rational as two groups: numerator, then denominator or None
+_RAT = r"(-?\d+)(?:/(\d+))?"
+_HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{_RAT}\s*,\s*{_RAT}\s*\]$")
+_FACT_RE = re.compile(rf"^([A-Za-z][A-Za-z0-9_]*)\s*@\s*\[\s*{_RAT}\s*,\s*{_RAT}\s*\]$")
 
 
 @dataclass(frozen=True)
@@ -51,13 +62,19 @@ class Trace:
             raise ValueError("horizon must have positive width")
         spans: dict[str, list[Interval]] = {}
         for fact in self.facts:
+            spans.setdefault(fact.predicate, []).append(fact.span)
+        inside = self.horizon.contains_interval
+        for name, pieces in spans.items():
+            base = self._bases[name] = coalesce(pieces)
+            if not (inside(base.parts[0]) and inside(base.parts[-1])):
+                self._reject_first_outside_fact()
+
+    def _reject_first_outside_fact(self):
+        for fact in self.facts:
             if not self.horizon.contains_interval(fact.span):
                 raise FactOutsideHorizonError(
                     f"fact {fact.predicate} @ {fact.span} lies outside horizon {self.horizon}"
                 )
-            spans.setdefault(fact.predicate, []).append(fact.span)
-        for name, pieces in spans.items():
-            self._bases[name] = coalesce(pieces)
 
     def truth_base(self, predicate: str) -> IntervalSet:
         """Coalesced set of times at which the predicate is true."""
@@ -67,11 +84,13 @@ class Trace:
         return set(self._bases)
 
 
-def _rat(text: str, lineno: int) -> Fraction:
+def _rat(num: str, den: str | None, lineno: int) -> Fraction:
+    if den is None:
+        return Fraction(int(num))
     try:
-        return Fraction(text)
+        return Fraction(int(num), int(den))
     except ZeroDivisionError:
-        raise ParseError(f"zero denominator in {text!r}", lineno) from None
+        raise ParseError(f"zero denominator in {num + '/' + den!r}", lineno) from None
 
 
 def parse_trace(text: str) -> Trace:
@@ -89,7 +108,7 @@ def parse_trace(text: str) -> Trace:
                 raise MissingHorizonError(
                     "first line must declare the horizon, e.g. 'horizon [-5,10]'", lineno
                 )
-            lo, hi = _rat(m.group(1), lineno), _rat(m.group(2), lineno)
+            lo, hi = _rat(*m.group(1, 2), lineno), _rat(*m.group(3, 4), lineno)
             if lo >= hi:
                 raise ParseError(f"horizon [{lo},{hi}] must have positive width", lineno)
             horizon = Interval(lo, hi)
@@ -99,7 +118,7 @@ def parse_trace(text: str) -> Trace:
         m = _FACT_RE.match(line)
         if m is None:
             raise ParseError(f"malformed trace line: {line!r}", lineno)
-        name, lo, hi = m.group(1), _rat(m.group(2), lineno), _rat(m.group(3), lineno)
+        name, lo, hi = m.group(1), _rat(*m.group(2, 3), lineno), _rat(*m.group(4, 5), lineno)
         if lo > hi:
             raise ParseError(f"inverted fact span [{lo},{hi}]", lineno)
         span = Interval(lo, hi)

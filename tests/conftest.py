@@ -94,14 +94,17 @@ def mitl_box_bounds_st(draw):
 _PREDS = ("p", "q", "r")
 
 
-def formulas_st(max_depth: int = 3, allow_not: bool = False, singleton_free: bool = False):
+def formulas_st(
+    max_depth: int = 3, allow_not: bool = False, singleton_free: bool = False, bounds=None
+):
+    """Formulas over p, q, r; bounds from ``bounds`` when given, else bounds_st."""
     leaves = st.one_of(
         st.builds(Pred, st.sampled_from(_PREDS)),
         st.just(Top()),
     )
 
     def extend(children):
-        bound = bounds_st(singleton_free=singleton_free)
+        bound = bounds if bounds is not None else bounds_st(singleton_free=singleton_free)
         options = [
             st.builds(And, children, children),
             st.builds(BoxPlus, bound, children),

@@ -23,6 +23,7 @@ from bmtl.syntax import (
     Since,
     Top,
     Until,
+    fold,
 )
 from bmtl.traces import Fact, Trace
 from conftest import bounds_st, formulas_st, traces_st
@@ -250,3 +251,94 @@ class TestSinceUntilSweep:
         small = self._intersect_calls(monkeypatch, 500)
         large = self._intersect_calls(monkeypatch, 2000)
         assert large <= 4.5 * small, (small, large)
+
+
+def _reference_eval_truth_set(f, tr):
+    """The evaluator as it was before integer time: the same clauses run
+    on the trace's Fraction endpoints and the bounds as they are, with no
+    common denominator (kept as the reference)."""
+    horizon = from_interval(tr.horizon)
+    clauses = {
+        Pred: lambda n, k: tr.truth_base(n.name),
+        Top: lambda n, k: horizon,
+        Not: lambda n, k: k[0].intersect(horizon).complement_within(tr.horizon),
+        And: lambda n, k: k[0].intersect(k[1]),
+        DiaMinus: lambda n, k: k[0].dilate(n.bound.lo, n.bound.hi),
+        DiaPlus: lambda n, k: k[0].dilate(-n.bound.hi, -n.bound.lo),
+        BoxMinus: lambda n, k: k[0].erode(n.bound.lo, n.bound.hi, "past"),
+        BoxPlus: lambda n, k: k[0].erode(n.bound.lo, n.bound.hi, "future"),
+        Since: lambda n, k: _binary_clause(k[0], k[1], n.bound.lo, n.bound.hi),
+        Until: lambda n, k: _binary_clause(k[0], k[1], -n.bound.hi, -n.bound.lo),
+    }
+    return fold(f, lambda node, kids: clauses[type(node)](node, kids))
+
+
+_COPRIME = (1, 7, 11, 13)
+
+
+def _coprime_rationals(lo: int, hi: int):
+    """Rationals in [lo, hi] over denominators 1, 7, 11 and 13."""
+    return st.sampled_from(_COPRIME).flatmap(
+        lambda d: st.integers(min_value=lo * d, max_value=hi * d).map(lambda n: F(n, d))
+    )
+
+
+@st.composite
+def _coprime_bounds(draw):
+    a, b = draw(_coprime_rationals(0, 3)), draw(_coprime_rationals(0, 3))
+    return Bound(min(a, b), max(a, b))
+
+
+@st.composite
+def _coprime_traces(draw):
+    """A horizon with a negative start (its end is negative too at times)
+    and facts whose ends come from a few shared points, so facts touch,
+    overlap and shrink to singletons, and negation puts open and closed
+    starts at one point."""
+    lo = draw(_coprime_rationals(-6, -1))
+    hi = lo + draw(_coprime_rationals(1, 8).filter(lambda w: w > 0))
+    points = draw(st.lists(_coprime_rationals(-6, 7), min_size=1, max_size=5))
+    points = [min(max(x, lo), hi) for x in points] + [lo, hi]
+    facts = []
+    for _ in range(draw(st.integers(min_value=0, max_value=7))):
+        x, y = draw(st.sampled_from(points)), draw(st.sampled_from(points))
+        facts.append(Fact(draw(st.sampled_from(("p", "q"))), Interval(min(x, y), max(x, y))))
+    return Trace(Interval(lo, hi), tuple(facts))
+
+
+class TestIntegerTime:
+    @settings(max_examples=300)
+    @given(
+        formulas_st(max_depth=3, allow_not=True, bounds=_coprime_bounds()),
+        _coprime_traces(),
+    )
+    @example(
+        Not(And(Pred("p"), Not(Pred("q")))),
+        Trace(
+            Interval(F(-13, 7), F(-1, 11)),
+            (
+                Fact("p", Interval(F(-1), F(-1))),
+                Fact("q", Interval(F(-1), F(-5, 13))),
+                Fact("p", Interval(F(-5, 13), F(-1, 11))),
+            ),
+        ),
+    )
+    def test_scaled_evaluation_matches_fraction_fold(self, f, tr):
+        got = eval_truth_set(f, tr)
+        assert got == _reference_eval_truth_set(f, tr)
+        assert all(type(x) is F for p in got.parts for x in (p.lo, p.hi)), got
+
+    def test_endpoints_are_fractions_on_an_integer_trace(self, simple_trace):
+        # every value in sight is an integer, so the scale is 1
+        got = eval_truth_set(Until(Pred("p"), Bound(F(1), F(2)), Pred("q")), simple_trace)
+        assert got.parts and all(type(x) is F for p in got.parts for x in (p.lo, p.hi))
+
+    def test_trace_is_left_unscaled(self, simple_trace):
+        f = DiaMinus(Bound(F(1, 7), F(2, 11)), Pred("p"))
+        first = eval_truth_set(f, simple_trace)
+        base = simple_trace.truth_base("p")
+        assert base == coalesce([Interval(F(0), F(4))])
+        assert all(type(x) is F for p in base.parts for x in (p.lo, p.hi))
+        assert eval_truth_set(f, simple_trace) == first == coalesce(
+            [Interval(F(1, 7), F(4) + F(2, 11))]
+        )

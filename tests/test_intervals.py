@@ -10,9 +10,14 @@ from bmtl.intervals import (
     EMPTY,
     Interval,
     IntervalSet,
+    _fuse,
+    _start_key,
     coalesce,
     from_interval,
+    from_scaled,
     make_interval,
+    scaled_value,
+    to_scaled,
 )
 from conftest import fractions_st, intervals_st, interval_sets_st, nonneg_fractions_st
 from gridcheck import (
@@ -240,3 +245,61 @@ class TestLaws:
             assert any(
                 orig.lo <= part.lo + lo and part.hi + hi <= orig.hi for orig in s.parts
             )
+
+
+# ------------------------------------------------------------ integer time
+
+
+@st.composite
+def _mixed_intervals(draw):
+    """Intervals whose ends come from a few points over denominators 1, 2,
+    3, 7, 11 and 13, so equal starts, open or closed, are common."""
+    points = st.builds(
+        F, st.integers(min_value=-30, max_value=30), st.sampled_from((1, 2, 3, 7, 11, 13))
+    )
+    a, b = draw(points), draw(points)
+    if a == b:
+        return Interval(a, b)
+    return Interval(min(a, b), max(a, b), draw(st.booleans()), draw(st.booleans()))
+
+
+class TestIntegerTime:
+    @settings(max_examples=300)
+    @given(st.lists(st.one_of(_mixed_intervals(), st.none()), max_size=12))
+    def test_coalesce_integer_key_matches_fraction_sort(self, raw):
+        want = _fuse(sorted((p for p in raw if p is not None), key=_start_key))
+        assert coalesce(raw) == want
+
+    def test_coalesce_orders_tied_starts_closed_first(self):
+        raw = [Interval(F(1, 7), F(2), False, True), Interval(F(2, 14), F(2, 14))]
+        assert coalesce(raw) == from_interval(Interval(F(1, 7), F(2)))
+
+    @given(interval_sets_st())
+    def test_scaling_round_trips(self, s):
+        scaled = to_scaled(s, 24 * 7)
+        assert all(type(x) is int for p in scaled.parts for x in (p.lo, p.hi))
+        back = from_scaled(scaled, 24 * 7)
+        assert back == s
+        assert all(type(x) is F for p in back.parts for x in (p.lo, p.hi))
+
+    def test_integer_sets_stay_integer(self):
+        s = to_scaled(iset(Interval(F(0), F(4)), Interval(F(6), F(9))), 1)
+        universe = to_scaled(from_interval(Interval(F(-5), F(15))), 1).parts[0]
+        for out in (
+            s.dilate(1, 2),
+            s.erode(1, 2, "past"),
+            s.complement_within(universe),
+            s.union(s.dilate(-3, -3)),
+            s.intersect(s.dilate(0, 1)),
+        ):
+            assert out.parts
+            assert all(type(x) is int for p in out.parts for x in (p.lo, p.hi)), out
+
+    def test_scale_must_clear_every_denominator(self):
+        assert scaled_value(F(5, 6), 12) == 10
+        with pytest.raises(ValueError):
+            scaled_value(F(5, 6), 9)
+
+    def test_public_constructors_still_coerce_to_fraction(self):
+        for p in (Interval(0, 3), make_interval(1, 2)):
+            assert type(p.lo) is F and type(p.hi) is F

@@ -19,7 +19,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from bmtl.errors import BmtlError, OracleGridError, PointOutsideHorizonError
+from bmtl.errors import (
+    BmtlError,
+    OracleGridError,
+    OracleGridRangeError,
+    PointOutsideHorizonError,
+)
 from bmtl.evaluate import eval_truth_set
 from bmtl.intervals import Interval
 from bmtl.oracle import (
@@ -418,3 +423,12 @@ class TestGridLimits:
         assert isinstance(info.value, BmtlError)
         assert isinstance(info.value, MemoryError)
         assert info.value.code == "ORACLE_GRID_TOO_FINE"
+
+    def test_grid_ends_past_the_int64_range_raise_oracle_grid_error(self):
+        # a tiny grid, but its scaled ends pass 2**62
+        tr = Trace(Interval(2**60, 2**60 + 1), ())
+        with pytest.raises(OracleGridError) as info:
+            oracle_eval_at(Pred("p"), tr, 2**60)
+        assert isinstance(info.value, BmtlError)
+        assert isinstance(info.value, OracleGridRangeError)
+        assert info.value.code == "ORACLE_GRID_OUT_OF_RANGE"
