@@ -63,7 +63,7 @@ from .syntax import (
     Since,
     Top,
     Until,
-    all_bounds,
+    bound_denominators,
     census,
     children,
     is_negation_free,

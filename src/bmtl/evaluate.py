@@ -26,17 +26,22 @@ pieces of successive parts are already in canonical order.  The
 clause costs O(n + m) interval operations for n parts of truth(A1) and
 m parts of truth(A2).
 
-Evaluation runs in integer time.  At entry, L is the lcm of the
-denominators of the horizon, of the formula's bounds and of the truth
-bases it reads; the horizon, those bases and each bound are multiplied
-by L once, which makes every endpoint an int.  The clauses then run
-unchanged on int endpoints, where compare and add cost a fraction of
-their Fraction counterparts, and the result is divided by L once at
-exit, so every endpoint handed out is a Fraction again.  This is exact:
-each clause only compares endpoints and adds bound endpoints to them,
-so it commutes with multiplying all of time by L > 0, and sums and
-differences of ints stay ints, so no rounding and no float enters.  The
-scaled copies live only for the one call.
+Evaluation runs in integer time, on the scale the trace already uses.
+A trace holds its truth bases multiplied by its own scale, the lcm of
+its horizon's and facts' denominators (see :mod:`bmtl.traces`).  At
+entry, L is the lcm of that scale and of the denominators of the
+formula's bounds; the bases the formula reads are taken from the trace
+as they are, or times the integer L / scale when the bounds add a
+denominator, and the horizon and each bound are multiplied by L once,
+so every endpoint is an int and no Fraction is touched between ingest
+and exit.  The clauses then run unchanged on int endpoints, where
+compare and add cost a fraction of their Fraction counterparts, and the
+result is divided by L once at exit, so every endpoint handed out is a
+Fraction again.  This is exact: each clause only compares endpoints and
+adds bound endpoints to them, so it commutes with multiplying all of
+time by L > 0, and sums and differences of ints stay ints, so no
+rounding and no float enters.  The rescaled copies live only for the
+one call.
 
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
@@ -58,7 +63,6 @@ from .intervals import (
     to_scaled,
 )
 from .syntax import (
-    KINDS,
     And,
     BoxMinus,
     BoxPlus,
@@ -70,6 +74,7 @@ from .syntax import (
     Since,
     Top,
     Until,
+    bound_denominators,
     fold,
     temporal_reach,
 )
@@ -77,7 +82,7 @@ from .traces import Trace
 
 # node class -> clause(node, operand truth sets, the trace in integer time)
 _CLAUSES = {
-    Pred: lambda n, k, t: t.bases[n.name],
+    Pred: lambda n, k, t: t.base(n.name),
     Top: lambda n, k, t: t.horizon_set,
     # clip first: dilated subsets may poke beyond the horizon
     Not: lambda n, k, t: k[0].intersect(t.horizon_set).complement_within(t.horizon),
@@ -100,30 +105,30 @@ def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
 class _IntegerTime:
     """The horizon and the truth bases f reads, scaled to integer time.
 
-    scale is the lcm of the denominators of the horizon, of f's bounds
-    and of those bases; ``of`` scales a bound endpoint.  A per-call
-    temporary: nothing scaled outlives the evaluation.
+    scale is the lcm of the trace's scale and of the denominators of f's
+    bounds, so a multiple of the trace's scale: a base the trace already
+    holds in integer time is taken as it is when the two scales agree,
+    and times their integer ratio otherwise.  ``of`` scales a bound
+    endpoint.  A per-call temporary: nothing it rescales outlives the
+    evaluation.
     """
 
     def __init__(self, f: Formula, tr: Trace):
-        names: set[str] = set()
-        dens = {tr.horizon.lo.denominator, tr.horizon.hi.denominator}
-
-        def visit(node: Formula, kids: list) -> None:
-            if type(node) is Pred:
-                names.add(node.name)
-            elif KINDS[type(node)].bounded:
-                dens.update((node.bound.lo.denominator, node.bound.hi.denominator))
-
-        fold(f, visit)
-        bases = {name: tr.truth_base(name) for name in names}
-        for base in bases.values():
-            for p in base.parts:
-                dens.update((p.lo.denominator, p.hi.denominator))
-        self.scale = math.lcm(*dens)
+        self.tr = tr
+        self.scale = math.lcm(tr.scale, *bound_denominators(f))
+        self.factor = self.scale // tr.scale
         self.horizon_set = to_scaled(from_interval(tr.horizon), self.scale)
         self.horizon = self.horizon_set.parts[0]
-        self.bases = {name: to_scaled(base, self.scale) for name, base in bases.items()}
+        self._bases: dict[str, IntervalSet] = {}
+
+    def base(self, name: str) -> IntervalSet:
+        base = self._bases.get(name)
+        if base is None:
+            base = self.tr.scaled_base(name)
+            if self.factor != 1:
+                base = to_scaled(base, self.factor)
+            self._bases[name] = base
+        return base
 
     def of(self, x) -> int:
         return scaled_value(x, self.scale)

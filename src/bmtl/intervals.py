@@ -303,6 +303,29 @@ def _fuse(pieces: Iterable[Interval]) -> IntervalSet:
     return IntervalSet(tuple(out))
 
 
+def closed_union(spans: Iterable[tuple[int, int]]) -> IntervalSet:
+    """Canonical set of the closed intervals [lo, hi], given as (lo, hi)
+    pairs with lo <= hi, endpoints kept as given (ints in integer time).
+
+    Sorting the pairs sorts by start; a closed span fuses with the run
+    before it when it starts no later than that run ends.
+    """
+    out: list[Interval] = []
+    ordered = iter(sorted(spans))
+    first = next(ordered, None)
+    if first is None:
+        return EMPTY
+    lo, hi = first
+    for a, b in ordered:
+        if a > hi:
+            out.append(_interval(lo, hi, True, True))
+            lo, hi = a, b
+        elif b > hi:
+            hi = b
+    out.append(_interval(lo, hi, True, True))
+    return IntervalSet(tuple(out))
+
+
 def from_interval(p: Interval) -> IntervalSet:
     return IntervalSet((p,))
 
@@ -310,9 +333,10 @@ def from_interval(p: Interval) -> IntervalSet:
 def to_scaled(s: IntervalSet, scale: int) -> IntervalSet:
     """s in integer time: every endpoint times scale, as an int.
 
-    scale must be a positive multiple of every endpoint's denominator.
-    Positive scaling keeps the order of endpoints, so the result is
-    canonical whenever s is.
+    scale must be a positive multiple of every endpoint's denominator,
+    so a set already in integer time (denominators 1) rescales by any
+    positive int.  Positive scaling keeps the order of endpoints, so the
+    result is canonical whenever s is.
     """
     return IntervalSet(tuple(
         _interval(scaled_value(p.lo, scale), scaled_value(p.hi, scale), p.lo_closed, p.hi_closed)

@@ -48,7 +48,7 @@ from .syntax import (
     Since,
     Top,
     Until,
-    all_bounds,
+    bound_denominators,
     fold,
     temporal_reach,
 )
@@ -91,9 +91,7 @@ def _common_denominator(f: Formula, tr: Trace, pts: Iterable[Fraction]) -> int:
     for fact in tr.facts:
         dens.add(fact.span.lo.denominator)
         dens.add(fact.span.hi.denominator)
-    for b in all_bounds(f):
-        dens.add(b.lo.denominator)
-        dens.add(b.hi.denominator)
+    dens |= bound_denominators(f)
     for p in pts:
         dens.add(p.denominator)
     return math.lcm(*dens)

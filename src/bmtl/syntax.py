@@ -305,13 +305,25 @@ def temporal_nesting(f: Formula) -> int:
     return fold(f, lambda node, kids: KINDS[type(node)].bounded + max(kids, default=0))
 
 
-def all_bounds(f: Formula) -> list[Bound]:
-    """Every temporal bound in the tree, in preorder."""
-    out: list[Bound] = []
+def bound_denominators(f: Formula) -> set[int]:
+    """Denominators of every bound endpoint in f.
+
+    Visits each distinct node once (a walk with a seen-set keyed by
+    identity), so a subtree shared by several parents, as the mitl box
+    rule shares the box body, is read once.
+    """
+    dens: set[int] = set()
+    seen: set[int] = set()
     todo = [f]
     while todo:
         node = todo.pop()
-        if KINDS[type(node)].bounded:
-            out.append(node.bound)
-        todo.extend(reversed(children(node)))
-    return out
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        kind = KINDS[type(node)]
+        if kind.bounded:
+            dens.add(node.bound.lo.denominator)
+            dens.add(node.bound.hi.denominator)
+        for name in kind.children:
+            todo.append(getattr(node, name))
+    return dens

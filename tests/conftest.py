@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, settings, strategies as st
 import bmtl.rewrite as rewrite_module
 from bmtl.intervals import Interval, IntervalSet, coalesce
 from bmtl.syntax import (
+    KINDS,
     And,
     Bound,
     BoxMinus,
@@ -26,6 +27,7 @@ from bmtl.syntax import (
     Since,
     Top,
     Until,
+    children,
 )
 from bmtl.traces import Fact, Trace
 
@@ -119,6 +121,19 @@ def formulas_st(
         return st.one_of(options)
 
     return st.recursive(leaves, extend, max_leaves=2**max_depth)
+
+
+def preorder_bounds(f) -> list[Bound]:
+    """Every temporal bound in the tree, in preorder: one per occurrence,
+    so a shared subtree's bounds count once for each parent."""
+    out: list[Bound] = []
+    todo = [f]
+    while todo:
+        node = todo.pop()
+        if KINDS[type(node)].bounded:
+            out.append(node.bound)
+        todo.extend(reversed(children(node)))
+    return out
 
 
 @st.composite

@@ -28,7 +28,6 @@ from bmtl.syntax import (
     DiaMinus,
     Pred,
     Top,
-    all_bounds,
     census,
     is_negation_free,
 )

@@ -12,6 +12,7 @@ arithmetic shows up at every grid point it touches.
 """
 
 import math
+import time
 from fractions import Fraction as F
 
 import numpy as np
@@ -35,6 +36,7 @@ from bmtl.oracle import (
     oracle_eval_at,
     oracle_eval_many,
 )
+from bmtl.rewrite import SingletonFree, normalize
 from bmtl.syntax import (
     And,
     Bound,
@@ -47,11 +49,11 @@ from bmtl.syntax import (
     Since,
     Top,
     Until,
-    all_bounds,
     fold,
     temporal_reach,
 )
 from bmtl.traces import Fact, Trace
+from conftest import preorder_bounds
 
 
 # ----------------------------------------------------------- naive reference
@@ -62,7 +64,7 @@ def _lattice(tr: Trace, f, extra_denoms) -> list[F]:
     for fact in tr.facts:
         dens.add(fact.span.lo.denominator)
         dens.add(fact.span.hi.denominator)
-    for b in all_bounds(f):
+    for b in preorder_bounds(f):
         dens.add(b.lo.denominator)
         dens.add(b.hi.denominator)
     step = F(1, 4 * math.lcm(*dens))
@@ -432,3 +434,23 @@ class TestGridLimits:
         assert isinstance(info.value, BmtlError)
         assert isinstance(info.value, OracleGridRangeError)
         assert info.value.code == "ORACLE_GRID_OUT_OF_RANGE"
+
+
+class TestSharedSubtrees:
+    def test_oracle_query_on_a_deep_mitl_chain_is_fast(self):
+        # the mitl box rule shares the box body between two branches, so
+        # this formula has 2**16 root-to-leaf paths but few distinct nodes
+        f = Pred("p")
+        for _ in range(16):
+            f = BoxPlus(Bound(F(1), F(2)), f)
+        g = normalize(f, SingletonFree(F(1, 2), F(1, 2))).output
+        tr = Trace(
+            Interval(F(0), F(10)),
+            (Fact("p", Interval(F(1), F(3))), Fact("p", Interval(F(4), F(9)))),
+        )
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            oracle_eval_at(g, tr, F(5))
+            times.append(time.perf_counter() - start)
+        assert min(times) < 0.1, times

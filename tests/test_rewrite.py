@@ -38,7 +38,6 @@ from bmtl.syntax import (
     Since,
     Top,
     Until,
-    all_bounds,
     census,
     is_negation_free,
     print_formula,

@@ -19,7 +19,7 @@ from bmtl.syntax import (
     Since,
     Top,
     Until,
-    all_bounds,
+    bound_denominators,
     census,
     children,
     is_negation_free,
@@ -29,7 +29,7 @@ from bmtl.syntax import (
     temporal_nesting,
     temporal_reach,
 )
-from conftest import formulas_st
+from conftest import formulas_st, preorder_bounds
 
 
 class TestBound:
@@ -148,6 +148,18 @@ class TestStructure:
     def test_negation_detected(self):
         assert not is_negation_free(And(Pred("p"), Not(Pred("q"))))
 
+    @given(formulas_st(max_depth=4, allow_not=True))
+    def test_bound_denominators_match_every_bound(self, f):
+        bounds = preorder_bounds(f)
+        assert bound_denominators(f) == {x.denominator for b in bounds for x in (b.lo, b.hi)}
+
+    def test_bound_denominators_read_a_shared_subtree_once(self):
+        # every level uses the level below twice: 2**60 root-to-leaf paths
+        node = Pred("p")
+        for i in range(1, 61):
+            node = And(DiaPlus(Bound(F(0), F(1, i)), node), node)
+        assert bound_denominators(node) == set(range(1, 61))
+
 
 class TestCensus:
     def test_counts_and_depth(self):
@@ -166,7 +178,7 @@ class TestCensus:
 
     @given(formulas_st(max_depth=4))
     def test_singleton_flag_matches_bounds(self, f):
-        assert census(f).has_singleton_bound == any(b.singleton for b in all_bounds(f))
+        assert census(f).has_singleton_bound == any(b.singleton for b in preorder_bounds(f))
 
     @given(formulas_st(max_depth=4))
     def test_size_counts_every_node(self, f):
@@ -194,7 +206,7 @@ class TestReach:
     @given(formulas_st(max_depth=4, allow_not=True))
     def test_reach_nonnegative_and_bounded_by_sum(self, f):
         past, future = temporal_reach(f)
-        total = sum((b.hi for b in all_bounds(f)), F(0))
+        total = sum((b.hi for b in preorder_bounds(f)), F(0))
         assert F(0) <= past <= total
         assert F(0) <= future <= total
 
