@@ -25,7 +25,7 @@ import math
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
@@ -277,15 +277,7 @@ class TrialFailure:
     witness: Optional[str] = None
 
     def to_json(self) -> dict:
-        return {
-            "trial": self.trial,
-            "kind": self.kind,
-            "formula": self.formula,
-            "normalized": self.normalized,
-            "trace": self.trace,
-            "first_diff": self.first_diff,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -299,24 +291,15 @@ class CampaignReport:
     wall_time_s: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "config": {
-                "seed": self.config.seed,
-                "max_depth": self.config.max_depth,
-                "predicate_pool": list(self.config.predicate_pool),
-                "bound_denominator_max": self.config.bound_denominator_max,
-                "bound_max": str(self.config.bound_max),
-                "facts_per_trace": self.config.facts_per_trace,
-                "horizon_length": str(self.config.horizon_length),
-                "trials": self.config.trials,
-            },
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": [f.to_json() for f in self.failures],
-            "empty_regions": self.empty_regions,
-            "wall_time_s": self.wall_time_s,
-        }
+        """The report's fields, in order, as JSON values.  vars() of a
+        dataclass instance holds its fields in declaration order."""
+        config = {name: _json_value(v) for name, v in vars(self.config).items()}
+        return {**vars(self), "config": config, "failures": [f.to_json() for f in self.failures]}
+
+
+def _json_value(v):
+    """A config value as JSON: a Fraction as an "n/d" string, a tuple as a list."""
+    return str(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
 
 
 def _wrapper_box(cfg: GenConfig, rng: random.Random, mode: RewriteMode, body: Formula) -> Formula:

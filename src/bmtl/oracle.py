@@ -87,14 +87,7 @@ def _scaled(x: Fraction, scale: int) -> int:
 
 
 def _common_denominator(f: Formula, tr: Trace, pts: Iterable[Fraction]) -> int:
-    dens = {tr.horizon.lo.denominator, tr.horizon.hi.denominator}
-    for fact in tr.facts:
-        dens.add(fact.span.lo.denominator)
-        dens.add(fact.span.hi.denominator)
-    dens |= bound_denominators(f)
-    for p in pts:
-        dens.add(p.denominator)
-    return math.lcm(*dens)
+    return math.lcm(tr.scale, *bound_denominators(f), *(p.denominator for p in pts))
 
 
 def _sample_grid(f: Formula, tr: Trace, scale: int):

@@ -83,12 +83,39 @@ class SingletonFree:
 RewriteMode = Union[Punctual, SingletonFree]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class RuleApplication:
+    """One logged rule firing.  `link` locates the node it fired at: ()
+    at the root, else (the parent's link, child index), so applications
+    down one spine share their prefixes and a log stays linear in depth.
+    `.path` spells the link out, on each read, as child indices from the
+    root.  Equality, hash and repr go by (rule, path, kappa, lam), since
+    a deep link nests too far for tuple ==, hash or repr."""
+
     rule: str
-    path: tuple[int, ...]
+    link: tuple
     kappa: Optional[Fraction] = None
     lam: Optional[Fraction] = None
+
+    @property
+    def path(self) -> tuple[int, ...]:
+        steps, link = [], self.link
+        while link:
+            link, i = link
+            steps.append(i)
+        return tuple(reversed(steps))
+
+    def _key(self) -> tuple:
+        return self.rule, self.path, self.kappa, self.lam
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, RuleApplication) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "RuleApplication(rule=%r, path=%r, kappa=%r, lam=%r)" % self._key()
 
 
 @dataclass(frozen=True)
@@ -205,30 +232,27 @@ def normalize(f: Formula, mode: RewriteMode) -> RewriteReport:
     """Bottom-up elimination of every box and diamond outside negations.
 
     Negated subtrees pass through untouched.  The applied-rule log lists
-    every step with its path (child indices from the root) in an order
-    that replays: folding apply_rule_at over the input reproduces the
-    output exactly.  A shared subtree is rewritten, and logged, once per
-    path.  The walk is iterative; a rule's result is walked again at the
-    same path, skipping the operands it carries over, which are normal.
+    every step with the link of the node it fired at (see
+    RuleApplication) in an order that replays: folding apply_rule_at over
+    the input reproduces the output exactly.  A shared subtree is
+    rewritten, and logged, once per path.  The walk is iterative and each
+    node on it carries its link; a rule's result is walked again at the
+    same link, skipping the operands it carries over, which are normal.
     """
     rule_for = {r.node: rid for rid, r in RULES.items() if r.mode in (None, type(mode))}
     log: list[RuleApplication] = []
-    path: list[int] = []  # child indices down to the node in hand
     done: list[Formula] = []  # normalized operands awaiting their parent
-    todo: list = [(f, 0, None, (), None)]  # node, depth, child index, kept, operands
+    todo: list = [(f, (), None, None)]  # node, link, kept, operands
     while todo:
-        node, depth, index, kept, kids = todo.pop()
+        node, link, kept, kids = todo.pop()
         if kids is None:
-            if depth:
-                del path[depth - 1 :]
-                path.append(index)
             if type(node) is Not or (kept and any(node is k for k in kept)):
                 done.append(node)
                 continue
             kids = children(node)
-            todo.append((node, depth, index, kept, kids))
+            todo.append((node, link, kept, kids))
             for i in reversed(range(len(kids))):
-                todo.append((kids[i], depth + 1, i, kept, None))
+                todo.append((kids[i], (link, i), kept, None))
             continue
         operands = tuple(done[len(done) - len(kids) :])
         del done[len(done) - len(kids) :]
@@ -237,32 +261,23 @@ def normalize(f: Formula, mode: RewriteMode) -> RewriteReport:
         if rid is None:
             done.append(node)
             continue
-        del path[depth:]
-        app = RuleApplication(rid, tuple(path), *_slack(RULES[rid], mode, node.bound))
+        app = RuleApplication(rid, link, *_slack(RULES[rid], mode, node.bound))
         log.append(app)
-        todo.append((_fire(app, node), depth, index, operands, None))
+        todo.append((_fire(app, node), link, operands, None))
     (output,) = done
     return RewriteReport(input=f, output=output, applied=tuple(log))
 
 
-def subtree_at(f: Formula, path: tuple[int, ...]) -> Formula:
-    node = f
-    for i in path:
-        node = children(node)[i]
-    return node
-
-
-def replace_at(f: Formula, path: tuple[int, ...], new: Formula) -> Formula:
+def apply_rule_at(f: Formula, app: RuleApplication) -> Formula:
+    """Replay a single logged rule application at its recorded path:
+    descend keeping the spine, fire, and rebuild the spine upward."""
+    path = app.path
     spine = [f]
-    for i in path[:-1]:
+    for i in path:
         spine.append(children(spine[-1])[i])
+    new = _fire(app, spine.pop())
     for parent, i in zip(reversed(spine), reversed(path)):
         kids = list(children(parent))
         kids[i] = new
         new = replace_children(parent, tuple(kids))
     return new
-
-
-def apply_rule_at(f: Formula, app: RuleApplication) -> Formula:
-    """Replay a single logged rule application at its recorded path."""
-    return replace_at(f, app.path, _fire(app, subtree_at(f, app.path)))

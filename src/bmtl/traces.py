@@ -220,6 +220,13 @@ def parse_trace(text: str) -> Trace:
         name: ([p * factor[q] for p, q, _, _ in group], [r * factor[s] for _, _, r, s in group])
         for name, group in raw.items()
     }
+    # unreduced ends such as 2/4 leave a common factor in scale: divide it out
+    ends = [e for pair in spans.values() for e in pair]
+    surplus = math.gcd(scale // math.lcm(h_lo_den, h_hi_den), *(math.gcd(*e) for e in ends))
+    if surplus > 1:
+        scale //= surplus
+        for e in ends:
+            e[:] = [v // surplus for v in e]
     tr = Trace.__new__(Trace)
     tr._build(horizon, scale, spans, order, None)
     return tr

@@ -1,16 +1,19 @@
 """Formulas nested far beyond the interpreter's recursion limit.
 
 The chains are built through the API, bottom-up, and never compared with
-== or hashed: dataclass equality itself recurses.
+== or hashed: dataclass equality itself recurses.  Their rule logs are:
+a RuleApplication compares by its path, spelled out flat.
 """
 
+import tracemalloc
 from fractions import Fraction as F
+from functools import reduce
 
 import pytest
 
 from bmtl.evaluate import eval_truth_set
 from bmtl.oracle import oracle_eval_many
-from bmtl.rewrite import Punctual, SingletonFree, normalize
+from bmtl.rewrite import Punctual, SingletonFree, apply_rule_at, normalize
 from bmtl.syntax import (
     KINDS_BY_NAME,
     Bound,
@@ -31,12 +34,12 @@ OPERATORS = ("not", "and", "bplus", "bminus", "dplus", "dminus", "since", "until
 CORE_OPS = {"pred", "top", "and", "since", "until"}
 
 
-def chain(operators, box_bound=ZERO, side=(Pred("q"), Top())):
-    """DEPTH operators, cycling through `operators` from the bottom up,
+def chain(operators, box_bound=ZERO, side=(Pred("q"), Top()), depth=DEPTH):
+    """`depth` operators, cycling through `operators` from the bottom up,
     over the predicate p; binary operators take a `side` leaf (in turn)
     as their left operand.  Bounds are [0,0] except on boxes."""
     node = Pred("p")
-    for i in range(DEPTH):
+    for i in range(depth):
         kind = KINDS_BY_NAME[operators[i % len(operators)]]
         bound = box_bound if kind.name in ("bplus", "bminus") else ZERO
         node = kind.make((side[i % len(side)], node)[2 - len(kind.children) :], bound)
@@ -75,21 +78,65 @@ def test_evaluator_agrees_with_oracle():
     assert oracle_eval_many(f, tr, points) == [truth.contains_point(p) for p in points]
 
 
-@pytest.mark.parametrize(
-    "mode,box_bound,rules_per_box",
-    [
-        (Punctual(), ZERO, 2),
-        # the singleton-free box rule needs lo < hi <= 3*lo
-        (SingletonFree(), Bound(F(1), F(2)), 3),
-    ],
-)
+# Per mode: the mode, the box bound its chain uses and the rules each
+# box takes.
+MODES = [
+    (Punctual(), ZERO, 2),
+    # the singleton-free box rule needs lo < hi <= 3*lo
+    (SingletonFree(), Bound(F(1), F(2)), 3),
+]
+# negation is a side operand here: normalize leaves negated subtrees alone
+REWRITE_OPERATORS = tuple(k for k in OPERATORS if k != "not")
+REWRITE_SIDE = (Pred("q"), Top(), Not(Pred("r")))
+
+
+@pytest.mark.parametrize("mode,box_bound,rules_per_box", MODES)
 def test_normalize(mode, box_bound, rules_per_box):
-    # negation is a side operand here: normalize leaves negated subtrees alone
-    operators = tuple(k for k in OPERATORS if k != "not")
-    f = chain(operators, box_bound, side=(Pred("q"), Top(), Not(Pred("r"))))
+    f = chain(REWRITE_OPERATORS, box_bound, REWRITE_SIDE)
     report = normalize(f, mode)
-    boxes = per_kind(operators, "bplus") + per_kind(operators, "bminus")
-    diamonds = per_kind(operators, "dplus") + per_kind(operators, "dminus")
+    boxes = per_kind(REWRITE_OPERATORS, "bplus") + per_kind(REWRITE_OPERATORS, "bminus")
+    diamonds = per_kind(REWRITE_OPERATORS, "dplus") + per_kind(REWRITE_OPERATORS, "dminus")
     assert len(report.applied) == rules_per_box * boxes + diamonds
-    assert max(len(app.path) for app in report.applied) > DEPTH - len(operators)
+    assert max(len(app.path) for app in report.applied) > DEPTH - len(REWRITE_OPERATORS)
     assert census(report.output).operators() <= CORE_OPS | {"not"}
+
+
+@pytest.mark.parametrize("mode,box_bound,rules_per_box", MODES)
+def test_normalize_memory_is_linear_in_depth(mode, box_bound, rules_per_box):
+    # Each logged application links to its parent's link, so the log
+    # shares path prefixes; one flat path per application would need
+    # hundreds of MiB here.
+    f = chain(REWRITE_OPERATORS, box_bound, REWRITE_SIDE)
+    tracemalloc.start()
+    try:
+        normalize(f, mode)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 50 * 2**20
+
+
+def test_deep_log_compares_hashes_and_prints():
+    # equality, hash and repr spell each path out, never recursing into
+    # the nested links
+    f = chain(REWRITE_OPERATORS, side=REWRITE_SIDE, depth=5_000)
+    first, second = (normalize(f, Punctual()).applied for _ in range(2))
+    assert first == second
+    assert hash(first) == hash(second)
+    assert len(set(first)) == len(first)
+    deepest = max(first, key=lambda app: len(app.path))
+    assert len(deepest.path) > 5_000 - len(REWRITE_OPERATORS)
+    assert repr(deepest) == (
+        f"RuleApplication(rule={deepest.rule!r}, path={deepest.path!r}, kappa=None, lam=None)"
+    )
+    assert repr(first).count("RuleApplication(") == len(first)
+
+
+def test_replay_of_a_deep_log():
+    # punctual only: a singleton-free box shares its body between two
+    # diamonds, so printing a deep mitl output takes exponential time
+    f = chain(REWRITE_OPERATORS, side=REWRITE_SIDE, depth=300)
+    report = normalize(f, Punctual())
+    assert max(len(app.path) for app in report.applied) > 300 - len(REWRITE_OPERATORS)
+    replayed = reduce(apply_rule_at, report.applied, f)
+    assert print_formula(replayed) == print_formula(report.output)

@@ -332,6 +332,7 @@ class TestAgainstReferenceIngest:
     @given(_valid_trace_texts())
     @example("horizon [-3,10]\np @ [1/2,7]\np @ [-3,-04/6]\np @ [-04/6,1/2]\n")
     @example("horizon [-13/12, 1/11]\nq @ [-13/12,-13/12]\nq @ [-1/7,1/11]\nq @ [-1/7,0]\n")
+    @example("horizon [0,3/3]\np @ [2/4,6/8]\nq @ [-0/9,10/15]\n")
     def test_valid_traces_agree(self, text):
         horizon, facts, bases = _reference_parse_trace(text)
         tr = parse_trace(text)
@@ -341,6 +342,8 @@ class TestAgainstReferenceIngest:
         for name in ("p", "q", "r", "other"):
             assert tr.truth_base(name) == bases.get(name, coalesce([]))
         assert tr == Trace(horizon, facts)
+        # the scale is the lcm of the reduced denominators, however written
+        assert tr.scale == Trace(horizon, facts).scale
 
     @settings(max_examples=300)
     @given(_broken_trace_texts())
