@@ -5,7 +5,8 @@ output goes to stdout, diagnostics to stderr.  Exit codes: 0 success
 (and campaigns with zero failures), 1 campaign failures, 2 syntax
 errors and invalid campaign settings (including an oracle grid too fine
 to build), 3 rewrite precondition violations, 4 I/O errors (including
-files that are not UTF-8), 5 a campaign that compared no trial.
+files that are not UTF-8), 5 a campaign that compared no trial, 6 an
+internal error (an exception that is not a BmtlError: a fault in bmtl).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_SYNTAX = 2
 EXIT_REWRITE = 3
 EXIT_IO = 4
 EXIT_NOTHING_COMPARED = 5
+EXIT_INTERNAL = 6
 
 
 def _fraction_arg(text: str) -> Fraction:
@@ -273,6 +275,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         return _fail(f"[{e.code}] {e}", EXIT_REWRITE)
     except BmtlError as e:
         return _fail(f"[{e.code}] {e}", EXIT_SYNTAX)
+    except Exception as e:
+        # not an input fault but a bmtl one: kept apart from exit 1, which
+        # would read as a campaign that found failures
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

@@ -21,27 +21,26 @@ clipping against one part at a time.  Both part lists are sorted, so
 one sweep serves every part: for each J the witness parts meeting J
 form one contiguous run, found by a cursor that only moves forward and
 never past a witness part that reaches beyond J (it may meet the next
-part too).  The run is dilated, clipped to J and appended; the clipped
-pieces of successive parts are already in canonical order.  The
-clause costs O(n + m) interval operations for n parts of truth(A1) and
-m parts of truth(A2).
+part too).  The run is clipped to J, dilated, clipped to J again and
+appended; the pieces of successive parts are already in canonical
+order.  The clause costs O(n + m) for n parts of truth(A1) and m parts
+of truth(A2).
 
-Evaluation runs in integer time, on the scale the trace already uses.
-A trace holds its truth bases multiplied by its own scale, the lcm of
-its horizon's and facts' denominators (see :mod:`bmtl.traces`).  At
-entry, L is the lcm of that scale and of the denominators of the
-formula's bounds; the bases the formula reads are taken from the trace
-as they are, or times the integer L / scale when the bounds add a
-denominator, and the horizon and each bound are multiplied by L once,
-so every endpoint is an int and no Fraction is touched between ingest
-and exit.  The clauses then run unchanged on int endpoints, where
-compare and add cost a fraction of their Fraction counterparts, and the
-result is divided by L once at exit, so every endpoint handed out is a
-Fraction again.  This is exact: each clause only compares endpoints and
-adds bound endpoints to them, so it commutes with multiplying all of
-time by L > 0, and sums and differences of ints stay ints, so no
-rounding and no float enters.  The rescaled copies live only for the
-one call.
+Evaluation runs on atom codes in integer time (see
+:mod:`bmtl.intervals`): each truth set is a flat list of ints, the
+first and last atoms of each of its parts.  A trace holds its truth
+bases as codes at its own scale, the lcm of its horizon's and facts'
+denominators (see :mod:`bmtl.traces`).  At entry, L is the lcm of that
+scale and of the denominators of the formula's bounds; the bases the
+formula reads are taken from the trace as they are, or times the
+integer L / scale when the bounds add a denominator, and the horizon and
+each bound are coded at L once.  Every clause is then a kernel sweep
+over ints: shifting time by a bound endpoint b adds 2bL to a code, so
+no endpoint flag, Fraction or object is touched until the result is
+decoded once at exit into an IntervalSet with Fraction ends.  This is
+exact: each clause only compares codes and adds shifts to them, so it
+commutes with scaling all of time by L > 0, and no rounding and no
+float enters.  The rescaled copies live only for the one call.
 
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
@@ -57,10 +56,11 @@ from typing import Optional
 from .intervals import (
     Interval,
     IntervalSet,
-    from_interval,
-    from_scaled,
+    complement_codes,
+    decode,
+    intersect_codes,
     scaled_value,
-    to_scaled,
+    shift_codes,
 )
 from .syntax import (
     And,
@@ -80,17 +80,17 @@ from .syntax import (
 )
 from .traces import Trace
 
-# node class -> clause(node, operand truth sets, the trace in integer time)
+# node class -> clause(node, operand code lists, the trace in integer time)
 _CLAUSES = {
     Pred: lambda n, k, t: t.base(n.name),
-    Top: lambda n, k, t: t.horizon_set,
-    # clip first: dilated subsets may poke beyond the horizon
-    Not: lambda n, k, t: k[0].intersect(t.horizon_set).complement_within(t.horizon),
-    And: lambda n, k, t: k[0].intersect(k[1]),
-    DiaMinus: lambda n, k, t: k[0].dilate(t.of(n.bound.lo), t.of(n.bound.hi)),
-    DiaPlus: lambda n, k, t: k[0].dilate(-t.of(n.bound.hi), -t.of(n.bound.lo)),
-    BoxMinus: lambda n, k, t: k[0].erode(t.of(n.bound.lo), t.of(n.bound.hi), "past"),
-    BoxPlus: lambda n, k, t: k[0].erode(t.of(n.bound.lo), t.of(n.bound.hi), "future"),
+    Top: lambda n, k, t: t.horizon,
+    # the gaps within the horizon: dilated sets may poke beyond it
+    Not: lambda n, k, t: complement_codes(k[0], *t.horizon),
+    And: lambda n, k, t: intersect_codes(k[0], k[1]),
+    DiaMinus: lambda n, k, t: shift_codes(k[0], t.of(n.bound.lo), t.of(n.bound.hi)),
+    DiaPlus: lambda n, k, t: shift_codes(k[0], -t.of(n.bound.hi), -t.of(n.bound.lo)),
+    BoxMinus: lambda n, k, t: shift_codes(k[0], t.of(n.bound.hi), t.of(n.bound.lo)),
+    BoxPlus: lambda n, k, t: shift_codes(k[0], -t.of(n.bound.lo), -t.of(n.bound.hi)),
     Since: lambda n, k, t: _binary_clause(k[0], k[1], t.of(n.bound.lo), t.of(n.bound.hi)),
     Until: lambda n, k, t: _binary_clause(k[0], k[1], -t.of(n.bound.hi), -t.of(n.bound.lo)),
 }
@@ -98,17 +98,16 @@ _CLAUSES = {
 
 def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
     t = _IntegerTime(f, tr)
-    truth = fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, t))
-    return from_scaled(truth, t.scale)
+    return decode(fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, t)), t.scale)
 
 
 class _IntegerTime:
-    """The horizon and the truth bases f reads, scaled to integer time.
+    """The horizon and the truth bases f reads, as codes in integer time.
 
     scale is the lcm of the trace's scale and of the denominators of f's
     bounds, so a multiple of the trace's scale: a base the trace already
-    holds in integer time is taken as it is when the two scales agree,
-    and times their integer ratio otherwise.  ``of`` scales a bound
+    holds as codes is taken as it is when the two scales agree, and
+    times their integer ratio otherwise.  ``of`` codes a shift by a bound
     endpoint.  A per-call temporary: nothing it rescales outlives the
     evaluation.
     """
@@ -117,44 +116,44 @@ class _IntegerTime:
         self.tr = tr
         self.scale = math.lcm(tr.scale, *bound_denominators(f))
         self.factor = self.scale // tr.scale
-        self.horizon_set = to_scaled(from_interval(tr.horizon), self.scale)
-        self.horizon = self.horizon_set.parts[0]
-        self._bases: dict[str, IntervalSet] = {}
+        self.horizon = [self.of(tr.horizon.lo), self.of(tr.horizon.hi)]
+        self._bases: dict[str, list[int]] = {}
 
-    def base(self, name: str) -> IntervalSet:
+    def base(self, name: str) -> list[int]:
         base = self._bases.get(name)
         if base is None:
-            base = self.tr.scaled_base(name)
+            base = self.tr.codes(name)
             if self.factor != 1:
-                base = to_scaled(base, self.factor)
+                # a trace's codes are all even, the closed ends 2x, which
+                # rescale as x does
+                base = [c * self.factor for c in base]
             self._bases[name] = base
         return base
 
     def of(self, x) -> int:
-        return scaled_value(x, self.scale)
+        return 2 * scaled_value(x, self.scale)
 
 
-def _binary_clause(holds: IntervalSet, witness: IntervalSet, shift_lo, shift_hi) -> IntervalSet:
-    w = witness.parts
-    out: list[Interval] = []
+def _binary_clause(holds: list[int], witness: list[int], d_lo: int, d_hi: int) -> list[int]:
+    """Since (shift [d_lo, d_hi] forward) or until (backward) on codes."""
+    w, n = witness, len(witness)
+    out: list[int] = []
     i = 0
-    for part in holds.parts:
-        while i < len(w) and _wholly_before(w[i], part):
-            i += 1
-        run = []
+    it = iter(holds)
+    for lo, hi in zip(it, it):
+        while i < n and w[i + 1] < lo:
+            i += 2
         k = i
-        while k < len(w) and not _wholly_before(part, w[k]):
-            run.append(w[k].intersect(part))
-            k += 1
-        if run:
-            j = from_interval(part)
-            out.extend(IntervalSet(tuple(run)).dilate(shift_lo, shift_hi).intersect(j).parts)
-    return IntervalSet(tuple(out))
-
-
-def _wholly_before(a: Interval, b: Interval) -> bool:
-    """Every point of a precedes every point of b."""
-    return a.hi < b.lo or (a.hi == b.lo and not (a.hi_closed and b.lo_closed))
+        while k < n and w[k] <= hi:
+            k += 2
+        if k > i:
+            run = w[i:k]
+            if run[0] < lo:
+                run[0] = lo
+            if run[-1] > hi:
+                run[-1] = hi
+            out += intersect_codes(shift_codes(run, d_lo, d_hi), (lo, hi))
+    return out
 
 
 def reliable_region(f: Formula, tr: Trace) -> Optional[Interval]:

@@ -3,20 +3,35 @@
 Sets of time points are kept in a canonical form: a sorted tuple of
 pairwise disjoint, non-adjacent intervals with per-endpoint open/closed
 flags.  Canonical form is unique, so structural equality coincides with
-point-set equality.  All arithmetic is exact: the public constructors
-coerce endpoints to ``fractions.Fraction``, and the set operations keep
-whatever exact type their operands carry, so a set whose endpoints are
-ints (time scaled by a common denominator, see :func:`to_scaled`) stays
-integer throughout.  Floats never enter the core.
+point-set equality.  The public constructors coerce endpoints to
+``fractions.Fraction``; floats never enter the core.
+
+Every set operation runs on atom codes.  At a scale L that clears every
+denominator in sight, time splits into atoms: the points x/L and the
+open unit gaps between them.  Atom 2x is the point x/L and atom 2x+1 the
+gap (x/L, (x+1)/L), so an interval is a contiguous run of atoms: a
+closed end x is coded 2x, an open start 2x+1 and an open end 2x-1.  A
+set is the flat list ``[lo0, hi0, lo1, hi1, ...]`` of its runs' first
+and last atoms, and the endpoint flags drop out of every operation:
+
+  nonempty run          lo <= hi
+  intersection          max of the los, min of the his
+  fuse with the next    lo_next <= hi + 1
+  shift time by d/L     add 2d to a code
+  canonical list        lo_i <= hi_i and hi_i + 1 < lo_(i+1)
+
+The kernel below works on such lists of ints and never mutates its
+arguments.  Each :class:`IntervalSet` method encodes its operands at the
+lcm of their denominators, runs the kernel and decodes;
+:mod:`bmtl.evaluate` stays in codes from the trace to its result.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import MemberOutsideUniverseError, NegativeBoundError
 
@@ -44,7 +59,10 @@ class Interval:
     def __post_init__(self):
         object.__setattr__(self, "lo", rat(self.lo))
         object.__setattr__(self, "hi", rat(self.hi))
-        _check_endpoints(self.lo, self.hi, self.lo_closed, self.hi_closed)
+        if self.lo > self.hi:
+            raise ValueError(f"inverted interval endpoints: {self.lo} > {self.hi}")
+        if not (self.lo_closed and self.hi_closed) and self.lo == self.hi:
+            raise ValueError("singleton interval requires both endpoints closed")
 
     def contains(self, t: RationalLike) -> bool:
         t = rat(t)
@@ -61,21 +79,6 @@ class Interval:
         )
         return lo_ok and hi_ok
 
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        if self.lo > other.lo or (self.lo == other.lo and not self.lo_closed):
-            lo, lc = self.lo, self.lo_closed
-        elif self.lo == other.lo:
-            lo, lc = self.lo, self.lo_closed and other.lo_closed
-        else:
-            lo, lc = other.lo, other.lo_closed
-        if self.hi < other.hi or (self.hi == other.hi and not self.hi_closed):
-            hi, hc = self.hi, self.hi_closed
-        elif self.hi == other.hi:
-            hi, hc = self.hi, self.hi_closed and other.hi_closed
-        else:
-            hi, hc = other.hi, other.hi_closed
-        return _maybe_interval(lo, hi, lc, hc)
-
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
@@ -86,74 +89,136 @@ class Interval:
         return f"{lb}{self.lo},{self.hi}{rb}"
 
 
-def _check_endpoints(lo, hi, lo_closed: bool, hi_closed: bool) -> None:
-    if lo > hi:
-        raise ValueError(f"inverted interval endpoints: {lo} > {hi}")
-    if not (lo_closed and hi_closed) and lo == hi:
-        raise ValueError("singleton interval requires both endpoints closed")
+def make_interval(
+    lo: RationalLike, hi: RationalLike, lo_closed: bool = True, hi_closed: bool = True
+) -> Optional[Interval]:
+    """Build an interval, collapsing empty results to None."""
+    lo, hi = rat(lo), rat(hi)
+    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
+        return None
+    return Interval(lo, hi, lo_closed, hi_closed)
+
+
+# ------------------------------------------------------------------ kernel
+
+
+def encode(parts: Iterable[Interval], scale: int) -> list[int]:
+    """The atom codes of parts at scale, a multiple of every endpoint's
+    denominator; canonical parts give a canonical list."""
+    out: list[int] = []
+    for p in parts:
+        lo = 2 * p.lo.numerator * (scale // p.lo.denominator)
+        hi = 2 * p.hi.numerator * (scale // p.hi.denominator)
+        out.append(lo if p.lo_closed else lo + 1)
+        out.append(hi if p.hi_closed else hi - 1)
+    return out
 
 
 _new = object.__new__
 _set = object.__setattr__
 
 
-def _interval(lo, hi, lo_closed: bool, hi_closed: bool) -> Interval:
-    """An Interval whose endpoints are kept as given, Fractions or ints.
+def decode(codes: Sequence[int], scale: int) -> "IntervalSet":
+    """The set of a canonical code list at scale, with Fraction ends.
 
-    Every operation below builds its intervals here, so integer sets
-    stay integer.  The checks are the constructor's; only the coercion
-    is skipped, by filling the frozen slots directly.
+    An even code 2x is the closed end x; an odd low code 2x+1 and an odd
+    high code 2x-1 are the open end x.  Canonical codes give canonical
+    parts, so neither the parts nor the set are checked again.
     """
-    _check_endpoints(lo, hi, lo_closed, hi_closed)
-    p = _new(Interval)
-    _set(p, "lo", lo)
-    _set(p, "hi", hi)
-    _set(p, "lo_closed", lo_closed)
-    _set(p, "hi_closed", hi_closed)
-    return p
+    parts = []
+    it = iter(codes)
+    for lo, hi in zip(it, it):
+        p = _new(Interval)
+        _set(p, "lo", Fraction(lo >> 1, scale))
+        _set(p, "hi", Fraction((hi + 1) >> 1, scale))
+        _set(p, "lo_closed", not lo & 1)
+        _set(p, "hi_closed", not hi & 1)
+        parts.append(p)
+    s = _new(IntervalSet)
+    _set(s, "parts", tuple(parts))
+    return s
 
 
-def _maybe_interval(lo, hi, lo_closed: bool, hi_closed: bool) -> Optional[Interval]:
-    """:func:`_interval`, or None where the endpoints leave it empty."""
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return None
-    return _interval(lo, hi, lo_closed, hi_closed)
+def fuse_runs(runs: Iterable[tuple[int, int]]) -> list[int]:
+    """Canonical codes of (lo, hi) runs given in order of lo; empty runs
+    are dropped, and a run fuses with the one before when they overlap
+    or meet."""
+    out: list[int] = []
+    for lo, hi in runs:
+        if lo > hi:
+            continue
+        if out and lo <= out[-1] + 1:
+            if hi > out[-1]:
+                out[-1] = hi
+        else:
+            out.append(lo)
+            out.append(hi)
+    return out
 
 
-def _exact(x: RationalLike) -> RationalLike:
-    """Ints and Fractions as they are (both exact); anything else via rat."""
-    return x if type(x) is int or type(x) is Fraction else rat(x)
+def intersect_codes(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The intersection of two canonical lists, in one merge."""
+    out: list[int] = []
+    i = j = 0
+    na, nb = len(a), len(b)
+    while i < na and j < nb:
+        alo, ahi, blo, bhi = a[i], a[i + 1], b[j], b[j + 1]
+        lo = alo if alo > blo else blo
+        hi = ahi if ahi < bhi else bhi
+        if lo <= hi:
+            out.append(lo)
+            out.append(hi)
+        # advance the run that ends first; on a tie advance both
+        if ahi <= bhi:
+            i += 2
+        if bhi <= ahi:
+            j += 2
+    return out
 
 
-def make_interval(
-    lo: RationalLike, hi: RationalLike, lo_closed: bool = True, hi_closed: bool = True
-) -> Optional[Interval]:
-    """Build an interval, collapsing empty results to None."""
-    return _maybe_interval(rat(lo), rat(hi), lo_closed, hi_closed)
+def shift_codes(codes: Sequence[int], d_lo: int, d_hi: int) -> list[int]:
+    """Every run [lo, hi] moved to [lo + d_lo, hi + d_hi].
 
-
-def _separated(a: Interval, b: Interval) -> bool:
-    """a ends before b starts, with a point of neither between them.
-
-    Two parts in start order fuse into one interval iff they are not
-    separated, and a part list is canonical iff each part is separated
-    from the next (then it also starts first, as a is nonempty).
+    With d_lo <= d_hi this dilates (runs grow and may fuse); with
+    d_lo >= d_hi it erodes (runs shrink and may vanish).  One shift moves
+    every start, so the runs stay in order.
     """
-    return a.hi < b.lo or (a.hi == b.lo and not (a.hi_closed or b.lo_closed))
+    return fuse_runs(zip([lo + d_lo for lo in codes[::2]], [hi + d_hi for hi in codes[1::2]]))
 
 
-def _merge(cur: Interval, nxt: Interval) -> Interval:
-    if cur.lo == nxt.lo:
-        lc = cur.lo_closed or nxt.lo_closed
-    else:
-        lc = cur.lo_closed
-    if nxt.hi > cur.hi:
-        hi, hc = nxt.hi, nxt.hi_closed
-    elif nxt.hi == cur.hi:
-        hi, hc = cur.hi, cur.hi_closed or nxt.hi_closed
-    else:
-        hi, hc = cur.hi, cur.hi_closed
-    return _interval(cur.lo, hi, lc, hc)
+def complement_codes(codes: Sequence[int], lo: int, hi: int) -> list[int]:
+    """The gaps of a canonical list within the run [lo, hi]; its runs may
+    reach outside [lo, hi]."""
+    out: list[int] = []
+    it = iter(codes)
+    for a, b in zip(it, it):
+        end = a - 1 if a - 1 < hi else hi
+        if lo <= end:
+            out.append(lo)
+            out.append(end)
+        if b >= lo:
+            lo = b + 1
+    if lo <= hi:
+        out.append(lo)
+        out.append(hi)
+    return out
+
+
+def _scale(parts: Iterable[Interval], *values: Fraction) -> int:
+    """The lcm of the denominators of parts' ends and of values."""
+    return math.lcm(
+        *{x.denominator for p in parts for x in (p.lo, p.hi)}, *(v.denominator for v in values)
+    )
+
+
+def _canonical(parts: Sequence[Interval]) -> "IntervalSet":
+    """The canonical set of parts in any order."""
+    scale = _scale(parts)
+    it = iter(encode(parts, scale))
+    return decode(fuse_runs(sorted(zip(it, it))), scale)
+
+
+# ------------------------------------------------------------------ sets
 
 
 @dataclass(frozen=True)
@@ -168,8 +233,9 @@ class IntervalSet:
     parts: tuple[Interval, ...] = ()
 
     def __post_init__(self):
-        for a, b in zip(self.parts, self.parts[1:]):
-            if not _separated(a, b):
+        if len(self.parts) > 1:
+            codes = encode(self.parts, _scale(self.parts))
+            if any(codes[k] + 1 >= codes[k + 1] for k in range(1, len(codes) - 1, 2)):
                 raise ValueError("parts not in canonical form")
 
     def __iter__(self) -> Iterator[Interval]:
@@ -179,61 +245,33 @@ class IntervalSet:
         return bool(self.parts)
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
-        # both part tuples are already sorted: merge them in one pass
-        return _fuse(heapq.merge(self.parts, other.parts, key=_start_key))
+        # two sorted runs of parts: the sort merges them in linear time
+        return _canonical(self.parts + other.parts)
 
     def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        out: list[Interval] = []
-        i = j = 0
-        a, b = self.parts, other.parts
-        while i < len(a) and j < len(b):
-            piece = a[i].intersect(b[j])
-            if piece is not None:
-                out.append(piece)
-            # advance the side that ends first; on a tie advance both
-            ahi, bhi = a[i], b[j]
-            if ahi.hi < bhi.hi or (ahi.hi == bhi.hi and not ahi.hi_closed and bhi.hi_closed):
-                i += 1
-            elif bhi.hi < ahi.hi or (ahi.hi == bhi.hi and not bhi.hi_closed and ahi.hi_closed):
-                j += 1
-            else:
-                i += 1
-                j += 1
-        return IntervalSet(tuple(out))
+        scale = _scale(self.parts + other.parts)
+        return decode(intersect_codes(encode(self.parts, scale), encode(other.parts, scale)), scale)
 
     def complement_within(self, universe: Interval) -> "IntervalSet":
         """Points of ``universe`` not in this set; closedness flips at
         every internal boundary."""
-        for p in self.parts:
-            if not universe.contains_interval(p):
-                raise MemberOutsideUniverseError(
-                    f"member {p} not contained in universe {universe}"
-                )
-        out: list[Interval] = []
-        cursor, inclusive = universe.lo, universe.lo_closed
-        for p in self.parts:
-            gap = _maybe_interval(cursor, p.lo, inclusive, not p.lo_closed)
-            if gap is not None:
-                out.append(gap)
-            cursor, inclusive = p.hi, not p.hi_closed
-        tail = _maybe_interval(cursor, universe.hi, inclusive, universe.hi_closed)
-        if tail is not None:
-            out.append(tail)
-        return IntervalSet(tuple(out))
+        scale = _scale(self.parts + (universe,))
+        codes = encode(self.parts, scale)
+        lo, hi = encode((universe,), scale)
+        if codes and (codes[0] < lo or codes[-1] > hi):
+            p = next(p for p in self.parts if not universe.contains_interval(p))
+            raise MemberOutsideUniverseError(f"member {p} not contained in universe {universe}")
+        return decode(complement_codes(codes, lo, hi), scale)
 
     def dilate(self, shift_lo: RationalLike, shift_hi: RationalLike) -> "IntervalSet":
         """Minkowski sum with the closed shift interval [shift_lo, shift_hi].
 
         Shifts may be negative; endpoint closedness follows the source.
         """
-        shift_lo, shift_hi = _exact(shift_lo), _exact(shift_hi)
+        shift_lo, shift_hi = rat(shift_lo), rat(shift_hi)
         if shift_lo > shift_hi:
             raise ValueError("inverted shift interval")
-        # one shift moves every start, so the parts stay in start order
-        return _fuse(
-            _interval(p.lo + shift_lo, p.hi + shift_hi, p.lo_closed, p.hi_closed)
-            for p in self.parts
-        )
+        return self._shifted(shift_lo, shift_hi)
 
     def erode(self, lo: RationalLike, hi: RationalLike, direction: str) -> "IntervalSet":
         """Points whose whole displaced window lies in the set.
@@ -243,23 +281,23 @@ class IntervalSet:
         Because the set is canonical, a closed window fits iff it fits
         inside one single part, so each part shrinks independently.
         """
-        lo, hi = _exact(lo), _exact(hi)
+        lo, hi = rat(lo), rat(hi)
         if lo < 0:
             raise NegativeBoundError("erosion window must not reach negative offsets")
         if lo > hi:
             raise ValueError("inverted erosion window")
-        out: list[Interval] = []
-        for p in self.parts:
-            if direction == "past":
-                piece = _maybe_interval(p.lo + hi, p.hi + lo, p.lo_closed, p.hi_closed)
-            elif direction == "future":
-                piece = _maybe_interval(p.lo - lo, p.hi - hi, p.lo_closed, p.hi_closed)
-            else:
-                raise ValueError(f"unknown erosion direction: {direction!r}")
-            if piece is not None:
-                out.append(piece)
-        # one shift moves every start, so the pieces stay in start order
-        return _fuse(out)
+        if direction == "past":
+            return self._shifted(hi, lo)
+        if direction == "future":
+            return self._shifted(-lo, -hi)
+        raise ValueError(f"unknown erosion direction: {direction!r}")
+
+    def _shifted(self, d_lo: Fraction, d_hi: Fraction) -> "IntervalSet":
+        """Every part [lo, hi] moved to [lo + d_lo, hi + d_hi]."""
+        scale = _scale(self.parts, d_lo, d_hi)
+        codes = encode(self.parts, scale)
+        return decode(shift_codes(codes, 2 * scaled_value(d_lo, scale),
+                                  2 * scaled_value(d_hi, scale)), scale)
 
     def is_subset_of(self, other: "IntervalSet") -> bool:
         return self.intersect(other) == self
@@ -275,81 +313,13 @@ class IntervalSet:
 EMPTY = IntervalSet()
 
 
-def _start_key(p: Interval) -> tuple[Fraction, bool]:
-    return (p.lo, not p.lo_closed)
-
-
 def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
-    """Canonicalize a raw collection of intervals (Nones are dropped).
-
-    Sorts in :func:`_start_key` order on an exact integer key: each start
-    scaled by the lcm of the starts' denominators, so no comparison in
-    the sort touches a Fraction.
-    """
-    pieces = [p for p in raw if p is not None]
-    scale = math.lcm(*{p.lo.denominator for p in pieces})
-    pieces.sort(key=lambda p: (p.lo.numerator * (scale // p.lo.denominator), not p.lo_closed))
-    return _fuse(pieces)
-
-
-def _fuse(pieces: Iterable[Interval]) -> IntervalSet:
-    """Canonical set from intervals already ordered by :func:`_start_key`."""
-    out: list[Interval] = []
-    for p in pieces:
-        if out and not _separated(out[-1], p):
-            out[-1] = _merge(out[-1], p)
-        else:
-            out.append(p)
-    return IntervalSet(tuple(out))
-
-
-def closed_union(spans: Iterable[tuple[int, int]]) -> IntervalSet:
-    """Canonical set of the closed intervals [lo, hi], given as (lo, hi)
-    pairs with lo <= hi, endpoints kept as given (ints in integer time).
-
-    Sorting the pairs sorts by start; a closed span fuses with the run
-    before it when it starts no later than that run ends.
-    """
-    out: list[Interval] = []
-    ordered = iter(sorted(spans))
-    first = next(ordered, None)
-    if first is None:
-        return EMPTY
-    lo, hi = first
-    for a, b in ordered:
-        if a > hi:
-            out.append(_interval(lo, hi, True, True))
-            lo, hi = a, b
-        elif b > hi:
-            hi = b
-    out.append(_interval(lo, hi, True, True))
-    return IntervalSet(tuple(out))
+    """Canonicalize a raw collection of intervals (Nones are dropped)."""
+    return _canonical([p for p in raw if p is not None])
 
 
 def from_interval(p: Interval) -> IntervalSet:
     return IntervalSet((p,))
-
-
-def to_scaled(s: IntervalSet, scale: int) -> IntervalSet:
-    """s in integer time: every endpoint times scale, as an int.
-
-    scale must be a positive multiple of every endpoint's denominator,
-    so a set already in integer time (denominators 1) rescales by any
-    positive int.  Positive scaling keeps the order of endpoints, so the
-    result is canonical whenever s is.
-    """
-    return IntervalSet(tuple(
-        _interval(scaled_value(p.lo, scale), scaled_value(p.hi, scale), p.lo_closed, p.hi_closed)
-        for p in s.parts
-    ))
-
-
-def from_scaled(s: IntervalSet, scale: int) -> IntervalSet:
-    """Inverse of :func:`to_scaled`: every endpoint divided by scale, as a Fraction."""
-    return IntervalSet(tuple(
-        _interval(Fraction(p.lo, scale), Fraction(p.hi, scale), p.lo_closed, p.hi_closed)
-        for p in s.parts
-    ))
 
 
 def scaled_value(x: RationalLike, scale: int) -> int:

@@ -117,6 +117,18 @@ class RuleApplication:
     def __repr__(self) -> str:
         return "RuleApplication(rule=%r, path=%r, kappa=%r, lam=%r)" % self._key()
 
+    def __reduce__(self):
+        # pickle and deepcopy would recurse through a deep link: go by the path
+        return _from_path, self._key()
+
+
+def _from_path(rule: str, path: tuple[int, ...], kappa, lam) -> RuleApplication:
+    """The application with its link rebuilt from the flat path."""
+    link: tuple = ()
+    for i in path:
+        link = (link, i)
+    return RuleApplication(rule, link, kappa, lam)
+
 
 @dataclass(frozen=True)
 class RewriteReport:

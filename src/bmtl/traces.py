@@ -13,11 +13,12 @@ base.  Predicates never mentioned have an empty base (closed-world).
 
 Traces live in integer time.  A trace's ``scale`` is the lcm of the
 denominators of its horizon and facts; it keeps each fact's ends times
-scale as ints, and coalesces a predicate's truth base on those ints when
-it is first read (:meth:`Trace.scaled_base`).  The evaluator scales time
-by a multiple of the same lcm, so it takes these bases as they are, or
-times an integer factor when the formula's bounds add denominators (see
-:mod:`bmtl.evaluate`).  The Fraction forms, ``facts`` and
+scale as ints, and when a predicate is first read fuses its spans into
+its truth base as atom codes at that scale (:meth:`Trace.codes`; atom
+codes are described in :mod:`bmtl.intervals`).  The evaluator scales
+time by a multiple of the same lcm, so it takes these codes as they are,
+or times an integer factor when the formula's bounds add denominators
+(see :mod:`bmtl.evaluate`).  The Fraction forms, ``facts`` and
 :meth:`Trace.truth_base`, are built from the ints on first read and
 cached; the horizon stays a Fraction interval.
 
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Iterable, Optional
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
-from .intervals import EMPTY, Interval, IntervalSet, closed_union, from_scaled, scaled_value
+from .intervals import Interval, IntervalSet, decode, fuse_runs, scaled_value
 
 # a rational as two groups: numerator, then denominator or None
 _RAT = r"(-?\d+)(?:/(\d+))?"
@@ -66,7 +67,7 @@ class Trace:
     Equal traces have equal horizons and equal facts in the same order.
     """
 
-    __slots__ = ("horizon", "scale", "_spans", "_order", "_facts", "_scaled_bases", "_bases")
+    __slots__ = ("horizon", "scale", "_spans", "_order", "_facts", "_codes", "_bases")
 
     def __init__(self, horizon: Interval, facts: Iterable[Fact]):
         facts = tuple(facts)
@@ -92,7 +93,7 @@ class Trace:
             raise ValueError("horizon must have positive width")
         self.horizon, self.scale = horizon, scale
         self._spans, self._order, self._facts = spans, order, facts
-        self._scaled_bases: dict[str, IntervalSet] = {}
+        self._codes: dict[str, list[int]] = {}
         self._bases: dict[str, IntervalSet] = {}
         # facts are closed, so checking each predicate's least start and
         # greatest end checks every fact
@@ -125,18 +126,21 @@ class Trace:
         """Coalesced set of times at which the predicate is true."""
         base = self._bases.get(predicate)
         if base is None:
-            base = self._bases[predicate] = from_scaled(self.scaled_base(predicate), self.scale)
+            base = self._bases[predicate] = decode(self.codes(predicate), self.scale)
         return base
 
-    def scaled_base(self, predicate: str) -> IntervalSet:
-        """truth_base(predicate) with every endpoint times scale, as ints;
-        coalesced on first read."""
-        base = self._scaled_bases.get(predicate)
-        if base is None:
+    def codes(self, predicate: str) -> list[int]:
+        """truth_base(predicate) as atom codes at scale, fused on first
+        read; callers must not mutate the list.  Every span is closed, so
+        every code is even: the span [lo, hi] is the run [2lo, 2hi]."""
+        codes = self._codes.get(predicate)
+        if codes is None:
             if predicate not in self._spans:
-                return EMPTY
-            base = self._scaled_bases[predicate] = closed_union(zip(*self._spans[predicate]))
-        return base
+                return []
+            los, his = self._spans[predicate]
+            codes = self._codes[predicate] = fuse_runs(
+                sorted(zip([2 * lo for lo in los], [2 * hi for hi in his])))
+        return codes
 
     def predicates(self) -> set[str]:
         return set(self._spans)

@@ -191,6 +191,16 @@ class TestEval:
         assert err.startswith("error: ") and "not UTF-8" in err
         assert err.count("\n") == 1
 
+    def test_internal_error_exits_6(self, capsys, monkeypatch, trace_file):
+        def broken(*_):
+            raise ValueError("kernel invariant broken")
+
+        monkeypatch.setattr(cli, "eval_truth_set", broken)
+        code, out, err = run(capsys, "eval", "--trace", trace_file, "p")
+        assert code == cli.EXIT_INTERNAL == 6
+        assert out == ""
+        assert err == "internal error: ValueError: kernel invariant broken\n"
+
     def test_empty_reliable_region_is_null(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"
         path.write_text("horizon [0,2]\n")

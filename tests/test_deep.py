@@ -5,6 +5,8 @@ The chains are built through the API, bottom-up, and never compared with
 a RuleApplication compares by its path, spelled out flat.
 """
 
+import copy
+import pickle
 import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
@@ -130,6 +132,17 @@ def test_deep_log_compares_hashes_and_prints():
         f"RuleApplication(rule={deepest.rule!r}, path={deepest.path!r}, kappa=None, lam=None)"
     )
     assert repr(first).count("RuleApplication(") == len(first)
+
+
+@pytest.mark.parametrize("mode,box_bound,rules_per_box", MODES)
+def test_deep_application_pickles_and_copies(mode, box_bound, rules_per_box):
+    # both would recurse through the nested link; they go by the path
+    f = chain(REWRITE_OPERATORS, box_bound, REWRITE_SIDE, depth=2_100)
+    deepest = max(normalize(f, mode).applied, key=lambda app: len(app.path))
+    assert len(deepest.path) >= 2_000
+    for twin in (pickle.loads(pickle.dumps(deepest)), copy.deepcopy(deepest)):
+        assert twin == deepest
+        assert twin.path == deepest.path
 
 
 def test_replay_of_a_deep_log():

@@ -1,5 +1,6 @@
 """Exact truth-set evaluation: frozen values and semantic laws."""
 
+import math
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
@@ -10,7 +11,7 @@ from bmtl.evaluate import (
     eval_truth_set,
     reliable_region,
 )
-from bmtl.intervals import EMPTY, Interval, IntervalSet, coalesce, from_interval
+from bmtl.intervals import EMPTY, Interval, IntervalSet, coalesce, decode, encode, from_interval
 from bmtl.syntax import (
     And,
     Bound,
@@ -205,6 +206,29 @@ def _parts(*spans):
     return IntervalSet(tuple(Interval(*span) for span in spans))
 
 
+def _sweep(holds, witness, shift_lo, shift_hi):
+    """The sweep on the two sets' codes at the lcm of every denominator."""
+    ends = [x for p in holds.parts + witness.parts for x in (p.lo, p.hi)]
+    scale = math.lcm(*(x.denominator for x in ends + [shift_lo, shift_hi]))
+    codes = _binary_clause(
+        encode(holds.parts, scale),
+        encode(witness.parts, scale),
+        int(2 * shift_lo * scale),
+        int(2 * shift_hi * scale),
+    )
+    return decode(codes, scale)
+
+
+class _CountingList(list):
+    """A code list that counts its reads by index or slice."""
+
+    reads = 0
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
 class TestSinceUntilSweep:
     # many narrow parts of holds against few wide witness parts, so a
     # witness part often straddles several parts of holds
@@ -219,44 +243,35 @@ class TestSinceUntilSweep:
     @example(_parts((0, 10)), _parts((1, 2, False, False), (2, 3, False, True)), (F(2), F(2)))
     def test_sweep_matches_per_part_reference(self, holds, witness, shift):
         lo, hi = shift
-        assert _binary_clause(holds, witness, lo, hi) == _reference_binary_clause(
-            holds, witness, lo, hi
-        )
+        assert _sweep(holds, witness, lo, hi) == _reference_binary_clause(holds, witness, lo, hi)
 
     @staticmethod
-    def _intersect_calls(monkeypatch, facts: int) -> int:
-        """Interval.intersect calls made by one since and one until clause
+    def _witness_reads(facts: int) -> int:
+        """Reads of the witness codes by one since and one until clause
         on a trace with the given number of facts per predicate."""
         p = [Fact("p", Interval(F(4 * i), F(4 * i + 3))) for i in range(facts)]
         q = [Fact("q", Interval(F(8 * i + 5, 2), F(8 * i + 6, 2))) for i in range(facts)]
         tr = Trace(Interval(F(0), F(4 * facts)), tuple(p + q))
-        calls = 0
-        original = Interval.intersect
+        unit = 2 * tr.scale  # a shift by 1 in codes
+        reads = 0
+        # since over [0,1] and until over [1,2]
+        for shift in ((0, unit), (-2 * unit, -unit)):
+            witness = _CountingList(tr.codes("q"))
+            assert _binary_clause(tr.codes("p"), witness, *shift)
+            reads += witness.reads
+        return reads
 
-        def counted(self, other):
-            nonlocal calls
-            calls += 1
-            return original(self, other)
-
-        with monkeypatch.context() as m:
-            m.setattr(Interval, "intersect", counted)
-            for f in (
-                Since(Pred("p"), Bound(F(0), F(1)), Pred("q")),
-                Until(Pred("p"), Bound(F(1), F(2)), Pred("q")),
-            ):
-                assert eval_truth_set(f, tr).parts
-        return calls
-
-    def test_interval_operations_grow_linearly(self, monkeypatch):
-        small = self._intersect_calls(monkeypatch, 500)
-        large = self._intersect_calls(monkeypatch, 2000)
+    def test_sweep_reads_grow_linearly(self):
+        small = self._witness_reads(500)
+        large = self._witness_reads(2000)
         assert large <= 4.5 * small, (small, large)
 
 
 def _reference_eval_truth_set(f, tr):
-    """The evaluator as it was before integer time: the same clauses run
-    on the trace's Fraction endpoints and the bounds as they are, with no
-    common denominator (kept as the reference)."""
+    """The evaluator as IntervalSet operations: the same clauses run on
+    the trace's Fraction truth bases and the bounds as they are, each
+    operation at the lcm of its own operands, with since/until by the
+    per-part reference (kept as the reference)."""
     horizon = from_interval(tr.horizon)
     clauses = {
         Pred: lambda n, k: tr.truth_base(n.name),
@@ -267,8 +282,8 @@ def _reference_eval_truth_set(f, tr):
         DiaPlus: lambda n, k: k[0].dilate(-n.bound.hi, -n.bound.lo),
         BoxMinus: lambda n, k: k[0].erode(n.bound.lo, n.bound.hi, "past"),
         BoxPlus: lambda n, k: k[0].erode(n.bound.lo, n.bound.hi, "future"),
-        Since: lambda n, k: _binary_clause(k[0], k[1], n.bound.lo, n.bound.hi),
-        Until: lambda n, k: _binary_clause(k[0], k[1], -n.bound.hi, -n.bound.lo),
+        Since: lambda n, k: _reference_binary_clause(k[0], k[1], n.bound.lo, n.bound.hi),
+        Until: lambda n, k: _reference_binary_clause(k[0], k[1], -n.bound.hi, -n.bound.lo),
     }
     return fold(f, lambda node, kids: clauses[type(node)](node, kids))
 
@@ -327,6 +342,12 @@ class TestIntegerTime:
         got = eval_truth_set(f, tr)
         assert got == _reference_eval_truth_set(f, tr)
         assert all(type(x) is F for p in got.parts for x in (p.lo, p.hi)), got
+
+    @given(formulas_st(max_depth=3, allow_not=True, bounds=bounds_st()), traces_st())
+    def test_every_endpoint_handed_out_is_a_fraction(self, f, tr):
+        for p in eval_truth_set(f, tr).parts:
+            assert type(p.lo) is F and type(p.hi) is F, p
+            assert type(p.lo_closed) is bool and type(p.hi_closed) is bool, p
 
     def test_endpoints_are_fractions_on_an_integer_trace(self, simple_trace):
         # every value in sight is an integer, so the scale is 1

@@ -1,5 +1,6 @@
 """Interval-set algebra: frozen examples, lattice-oracle properties, laws."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -10,14 +11,16 @@ from bmtl.intervals import (
     EMPTY,
     Interval,
     IntervalSet,
-    _fuse,
-    _start_key,
     coalesce,
+    complement_codes,
+    decode,
+    encode,
     from_interval,
-    from_scaled,
+    fuse_runs,
+    intersect_codes,
     make_interval,
     scaled_value,
-    to_scaled,
+    shift_codes,
 )
 from conftest import fractions_st, intervals_st, interval_sets_st, nonneg_fractions_st
 from gridcheck import (
@@ -263,37 +266,87 @@ def _mixed_intervals(draw):
     return Interval(min(a, b), max(a, b), draw(st.booleans()), draw(st.booleans()))
 
 
+def _lcm(parts) -> int:
+    return math.lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
+
+
+def _is_canonical(codes: list[int]) -> bool:
+    runs = list(zip(codes[::2], codes[1::2]))
+    return all(lo <= hi for lo, hi in runs) and all(
+        a[1] + 1 < b[0] for a, b in zip(runs, runs[1:])
+    )
+
+
 class TestIntegerTime:
     @settings(max_examples=300)
     @given(st.lists(st.one_of(_mixed_intervals(), st.none()), max_size=12))
     def test_coalesce_integer_key_matches_fraction_sort(self, raw):
-        want = _fuse(sorted((p for p in raw if p is not None), key=_start_key))
-        assert coalesce(raw) == want
+        # the Fraction start key puts a closed start before an open one
+        pieces = sorted((p for p in raw if p is not None), key=lambda p: (p.lo, not p.lo_closed))
+        scale = _lcm(pieces)
+        codes = encode(pieces, scale)
+        assert codes[::2] == sorted(codes[::2])
+        assert coalesce(raw) == decode(fuse_runs(zip(codes[::2], codes[1::2])), scale)
 
     def test_coalesce_orders_tied_starts_closed_first(self):
         raw = [Interval(F(1, 7), F(2), False, True), Interval(F(2, 14), F(2, 14))]
         assert coalesce(raw) == from_interval(Interval(F(1, 7), F(2)))
 
-    @given(interval_sets_st())
-    def test_scaling_round_trips(self, s):
-        scaled = to_scaled(s, 24 * 7)
-        assert all(type(x) is int for p in scaled.parts for x in (p.lo, p.hi))
-        back = from_scaled(scaled, 24 * 7)
-        assert back == s
-        assert all(type(x) is F for p in back.parts for x in (p.lo, p.hi))
+    @settings(max_examples=300)
+    @given(st.one_of(interval_sets_st(), st.lists(_mixed_intervals(), max_size=8).map(coalesce)))
+    def test_codes_round_trip(self, s):
+        scale = _lcm(s.parts)
+        for at in (scale, 24 * 7 * scale):
+            codes = encode(s.parts, at)
+            assert all(type(x) is int for x in codes)
+            assert _is_canonical(codes), codes
+            back = decode(codes, at)
+            assert back == s
+            assert all(type(x) is F for p in back.parts for x in (p.lo, p.hi))
 
-    def test_integer_sets_stay_integer(self):
-        s = to_scaled(iset(Interval(F(0), F(4)), Interval(F(6), F(9))), 1)
-        universe = to_scaled(from_interval(Interval(F(-5), F(15))), 1).parts[0]
-        for out in (
-            s.dilate(1, 2),
-            s.erode(1, 2, "past"),
-            s.complement_within(universe),
-            s.union(s.dilate(-3, -3)),
-            s.intersect(s.dilate(0, 1)),
+    def test_adjacent_runs(self):
+        # [0,1) and [1,2] share no point but leave none between them
+        assert iset(Interval(0, 1, True, False), Interval(1, 2)) == iset(Interval(0, 2))
+        assert encode([Interval(0, 1, True, False), Interval(1, 2)], 1) == [0, 1, 2, 4]
+        # (0,1) and (1,2) leave the point 1 out
+        apart = iset(Interval(0, 1, False, False), Interval(1, 2, False, False))
+        assert len(apart.parts) == 2
+        assert encode(apart.parts, 1) == [1, 1, 3, 3]
+        assert fuse_runs([(1, 1), (3, 3)]) == [1, 1, 3, 3]
+
+    def test_closed_singleton_between_open_gaps(self):
+        one = Interval(1, 1)
+        left, right = Interval(0, 1, False, False), Interval(1, 2, False, False)
+        assert encode([left, one, right], 1) == [1, 1, 2, 2, 3, 3]
+        assert iset(left, one) == iset(Interval(0, 1, False, True))
+        assert iset(one, right) == iset(Interval(1, 2, True, False))
+        assert iset(left, one, right) == iset(Interval(0, 2, False, False))
+        assert from_interval(one).complement_within(Interval(0, 2)) == IntervalSet(
+            (Interval(0, 1, True, False), Interval(1, 2, False, True))
+        )
+        assert iset(left, right).complement_within(Interval(0, 2)) == iset(
+            Interval(0, 0), one, Interval(2, 2)
+        )
+        # eroding by a zero-width window keeps the singleton, dilating
+        # by a unit one closes both gaps over it
+        assert from_interval(one).erode(0, 0, "past") == from_interval(one)
+        assert iset(left, right).dilate(0, 1) == iset(Interval(0, 3, False, False))
+
+    def test_kernel_stays_integer(self):
+        s = iset(Interval(F(0), F(4)), Interval(F(6), F(9)))
+        universe = Interval(F(-5), F(15))
+        codes, (lo, hi) = encode(s.parts, 1), encode([universe], 1)
+        both = codes + shift_codes(codes, -6, -6)
+        for out, want in (
+            (shift_codes(codes, 2, 4), s.dilate(1, 2)),
+            (shift_codes(codes, 4, 2), s.erode(1, 2, "past")),
+            (complement_codes(codes, lo, hi), s.complement_within(universe)),
+            (fuse_runs(sorted(zip(both[::2], both[1::2]))), s.union(s.dilate(-3, -3))),
+            (intersect_codes(codes, shift_codes(codes, 0, 2)), s.intersect(s.dilate(0, 1))),
         ):
-            assert out.parts
-            assert all(type(x) is int for p in out.parts for x in (p.lo, p.hi)), out
+            assert out
+            assert all(type(x) is int for x in out), out
+            assert decode(out, 1) == want
 
     def test_scale_must_clear_every_denominator(self):
         assert scaled_value(F(5, 6), 12) == 10

@@ -383,13 +383,14 @@ class TestIntegerIngest:
         assert len(tr.facts) == n
         assert built >= at_ingest + 2 * n
 
-    def test_scaled_bases_are_the_truth_bases_times_scale(self):
+    def test_codes_are_the_truth_bases_times_scale(self):
         tr = parse_trace("horizon [-1/2,10]\np @ [1/3,2]\np @ [5/4,2]\np @ [2,9/4]\n")
         assert tr.scale == 12
-        assert tr.scaled_base("p") == coalesce([Interval(4, 27)])
-        assert all(type(x) is int for p in tr.scaled_base("p") for x in (p.lo, p.hi))
+        # the closed span [4/12, 27/12] is the run of atoms [2*4, 2*27]
+        assert tr.codes("p") == [8, 54]
+        assert all(type(x) is int for x in tr.codes("p"))
         assert tr.truth_base("p") == coalesce([Interval(F(1, 3), F(9, 4))])
-        assert tr.scaled_base("q").parts == ()
+        assert tr.codes("q") == []
 
     @settings(max_examples=150)
     @given(traces_st(max_facts=8), formulas_st(max_depth=3, allow_not=True, bounds=bounds_st()))
