@@ -13,18 +13,19 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from typing import Optional
 
 from .errors import BmtlError, RewriteError
 from .evaluate import eval_truth_set, reliable_region
-from .harness import GenConfig, run_campaign
+from .harness import MAX_DEPTH_CAP, GenConfig, run_campaign
 from .intervals import Interval, IntervalSet
 from .parser import parse_formula
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
 from .syntax import Formula, census, print_formula, s_expression
-from .traces import parse_trace
+from .traces import _RAT, parse_trace
 
 EXIT_OK = 0
 EXIT_CAMPAIGN_FAILURES = 1
@@ -35,11 +36,15 @@ EXIT_NOTHING_COMPARED = 5
 EXIT_INTERNAL = 6
 
 
+_RATIONAL_RE = re.compile(_RAT)
+
+
 def _fraction_arg(text: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not a rational: {text!r}")
+    """A rational written as trace endpoints are: n or n/d, d nonzero."""
+    m = _RATIONAL_RE.fullmatch(text)
+    if m is None or m[2] is not None and int(m[2]) == 0:
+        raise argparse.ArgumentTypeError(f"not a rational n or n/d: {text!r}")
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def _interval_json(p: Interval) -> dict:
@@ -251,7 +256,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=100)
-    p_check.add_argument("--max-depth", type=int, default=3)
+    p_check.add_argument(
+        "--max-depth",
+        type=int,
+        default=3,
+        help=f"formula nesting depth, at most {MAX_DEPTH_CAP} (default 3)",
+    )
     p_check.add_argument("--bound-max", type=_fraction_arg, default=Fraction(4))
     p_check.add_argument("--bound-denominator-max", type=int, default=4)
     p_check.add_argument("--facts", type=int, default=5)

@@ -23,6 +23,10 @@ anything larger is rejected loudly rather than silently wrapped).
 The grid is the run of consecutive integers from the scaled lower end
 lo, so grid index i is the scaled value lo + i, and every kernel is a
 linear scan over index arrays.
+
+numpy is bound at the first call that builds an array, in _sample_grid
+or _TruthTable.__init__, which every query goes through; importing this
+module does not load it, so the rest of bmtl runs without numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +35,6 @@ import math
 from fractions import Fraction
 from functools import partial
 from typing import Iterable, Sequence
-
-import numpy as np
 
 from .errors import OracleGridError, OracleGridRangeError, PointOutsideHorizonError
 from .intervals import rat
@@ -55,6 +57,17 @@ from .syntax import (
 from .traces import Trace
 
 _INT64_LIMIT = 1 << 62
+
+np = None  # numpy, once _bind_numpy has run
+
+
+def _bind_numpy() -> None:
+    """Import numpy on the first call and bind it to the module's np."""
+    global np
+    if np is None:
+        import numpy
+
+        np = numpy
 
 
 def oracle_eval_at(f: Formula, tr: Trace, t) -> bool:
@@ -107,6 +120,7 @@ def _sample_grid(f: Formula, tr: Trace, scale: int):
             f"oracle sample grid ends {lo} and {hi} (scaled by {scale}) exceed the "
             "exact 64-bit range; times too far from 0"
         )
+    _bind_numpy()
     return np.arange(lo, hi + 1, dtype=np.int64)
 
 
@@ -120,6 +134,7 @@ class _TruthTable:
         n = self.n = len(xs)
         self.lo = int(xs[0])
         self.scale = scale
+        _bind_numpy()
         self.idx = np.arange(n, dtype=np.int64)
         self.horizon_mask = np.zeros(n, dtype=bool)
         self._fill_span(self.horizon_mask, tr.horizon)

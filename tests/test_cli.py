@@ -120,6 +120,35 @@ class TestRewrite:
         assert "U[2,5/2]" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rewrite", "--mode", "mitl", "--kappa", "1.5", "bplus[1,2] p"),
+        ("rewrite", "--mode", "mitl", "--kappa", "1e0", "bplus[1,2] p"),
+        ("rewrite", "--mode", "mitl", "--lambda", " 4/1 ", "bplus[1,2] p"),
+        ("rewrite", "--mode", "mitl", "--kappa", "1/0", "bplus[1,2] p"),
+        ("check", "--mode", "mitl", "--kappa", "1.5", "--trials", "1"),
+        ("check", "--mode", "punctual", "--bound-max", "1e0", "--trials", "1"),
+        ("check", "--mode", "punctual", "--horizon-length", "40.0", "--trials", "1"),
+    ],
+    ids=[
+        "kappa-decimal",
+        "kappa-exponent",
+        "lambda-spaces",
+        "kappa-zero-denominator",
+        "check-kappa-decimal",
+        "bound-max-exponent",
+        "horizon-decimal",
+    ],
+)
+def test_rational_options_take_the_trace_endpoint_grammar_only(capsys, argv):
+    # the same form as trace endpoints and formula bounds: n or n/d
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "not a rational n or n/d" in capsys.readouterr().err
+
+
 TRACE_TEXT = "horizon [-5,15]\np @ [0,4]\nq @ [3,6]\n"
 
 
@@ -277,13 +306,20 @@ class TestCheck:
         assert json.loads(out)["failures"][0]["witness"] == "1/2"
 
     @pytest.mark.parametrize(
-        "flags", [("--trials", "-1"), ("--bound-max", "0")], ids=["trials", "bound_max"]
+        "flags",
+        [("--trials", "-1"), ("--bound-max", "0"), ("--max-depth", "2000")],
+        ids=["trials", "bound_max", "max_depth"],
     )
     def test_out_of_range_settings_exit_2(self, capsys, flags):
         code, out, err = run(capsys, "check", "--mode", "punctual", *flags)
         assert code == 2
         assert out == ""
         assert "[CONFIG_ERROR]" in err
+
+    def test_depth_cap_is_named(self, capsys):
+        code, _, err = run(capsys, "check", "--mode", "punctual", "--max-depth", "33")
+        assert code == 2
+        assert "max_depth must be at most 32" in err
 
     def test_json_output_is_byte_stable(self, capsys):
         args = ("check", "--mode", "punctual", "--seed", "3", "--trials", "5", "--json")

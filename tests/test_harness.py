@@ -10,6 +10,7 @@ import bmtl.harness as harness_module
 import bmtl.rewrite as rewrite_module
 from bmtl.errors import ConfigError, OracleGridError
 from bmtl.harness import (
+    MAX_DEPTH_CAP,
     GenConfig,
     _sample_denominator,
     _sample_points,
@@ -271,6 +272,11 @@ class TestCampaigns:
     def test_out_of_range_settings_raise_config_error(self, settings):
         with pytest.raises(ConfigError):
             GenConfig(**settings)
+
+    def test_depth_cap(self):
+        assert GenConfig(max_depth=MAX_DEPTH_CAP).max_depth == 32
+        with pytest.raises(ConfigError, match="at most 32"):
+            GenConfig(max_depth=MAX_DEPTH_CAP + 1)
 
     def test_corrupted_rewrite_is_detected(self, monkeypatch):
         corrupt_punctual_box(monkeypatch)
