@@ -17,6 +17,7 @@ from .errors import (
     NegativeBoundError,
     NonpositiveSlackError,
     NotApplicableError,
+    NumpyMissingError,
     OracleGridError,
     OracleGridRangeError,
     ParseError,
@@ -35,7 +36,7 @@ from .harness import (
     run_campaign,
 )
 from .intervals import EMPTY, Interval, IntervalSet, coalesce, from_interval, make_interval, rat
-from .oracle import oracle_eval_at, oracle_eval_many
+from .oracle import oracle_eval_at, oracle_eval_many, oracle_first_difference
 from .parser import parse_formula
 from .rewrite import (
     Punctual,

@@ -3,15 +3,15 @@
 Reproducibility: every random draw comes from a Mersenne Twister seeded
 with a splitmix64-style mix of (campaign seed, stream tag, stream
 index), so a (seed, config) pair fully determines every formula, trace,
-wrapper box, slack value and sample point, independently of iteration
-interleaving.  Reports are deterministic modulo wall time.
+wrapper box and slack value, independently of iteration interleaving.
+Reports are deterministic modulo wall time.
 
 A trial generates a negation-free formula and a trace, wraps the
 formula under one fresh box (either polarity), normalizes it, and
 compares exact truth sets inside the reliable region, where horizon
-edge effects cannot leak in.  Ten sample points per trial are
-additionally cross-checked against the pointwise witness oracle on
-both the original and the normalized formula.
+edge effects cannot leak in.  When they agree, both truth sets are
+cross-checked against the pointwise witness oracle on the whole
+region, at every point of the oracle's grid, which is exact there.
 
 Trials whose reliable region is empty are counted separately: with the
 region empty there is nothing to compare, so they are neither passes
@@ -21,18 +21,16 @@ actually ran.
 
 from __future__ import annotations
 
-import math
 import random
-import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigError, OracleGridError
+from .errors import ConfigError
 from .evaluate import combined_reliable_region, eval_truth_set
 from .intervals import Interval, IntervalSet, from_interval, rat
-from .oracle import _common_denominator, oracle_eval_many
+from .oracle import oracle_first_difference
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
 from .syntax import KINDS_BY_NAME, Bound, BoxMinus, BoxPlus, Formula, Pred, print_formula
 from .traces import Fact, Trace, format_trace
@@ -232,48 +230,6 @@ def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
     )
 
 
-def _sample_denominator(f: Formula, tr: Trace, region: Interval) -> int:
-    """Denominator of the lattice a trial's sample points are drawn
-    from: lcm(24, L, the region ends' denominators), where L is the lcm
-    of the formula's and trace's denominators; 24 at the default
-    settings, where L divides 12.
-
-    f's truth-set endpoints lie on the 1/L lattice, and points are
-    sampled only once both truth sets agree, so every end of a piece
-    under comparison, region ends included, is a lattice point, and a
-    piece with a closed end holds one.  An open piece is at least 1/L
-    wide, so it holds one whenever the lattice is finer than 1/L, as it
-    is whenever 24 does not divide L.
-
-    Sample points do refine the oracle's grid, whose step is 1/(4*lcm)
-    over the denominators in sight, query points included: at the
-    defaults 2x in most trials and up to 24x in some.  Drawn from this
-    lattice, they refine it by at most lcm(24, L)/L, as points on a fixed
-    1/24 lattice do; the region ends add only denominators the
-    normalized formula's own grid already has.
-    """
-    dens = (region.lo.denominator, region.hi.denominator)
-    return math.lcm(24, _common_denominator(f, tr, ()), *dens)
-
-
-def _sample_points(
-    rng: random.Random, region: Interval, count: int, denominator: int
-) -> list[Fraction]:
-    lo_i = math.ceil(region.lo * denominator)
-    hi_i = math.floor(region.hi * denominator)
-    if lo_i > hi_i:
-        return [(region.lo + region.hi) / 2] * count
-    if hi_i - lo_i >= sys.maxsize:
-        raise OracleGridError(
-            f"sample lattice too fine ({hi_i - lo_i + 1} points); denominators too diverse"
-        )
-    if hi_i - lo_i + 1 <= count:
-        picks = list(range(lo_i, hi_i + 1))
-    else:
-        picks = rng.sample(range(lo_i, hi_i + 1), count)
-    return [Fraction(i, denominator) for i in picks]
-
-
 @dataclass(frozen=True)
 class TrialFailure:
     trial: int
@@ -325,9 +281,6 @@ def _random_slack(cfg: GenConfig, rng: random.Random) -> Fraction:
     return Fraction(rng.randint(1, cap), d)
 
 
-ORACLE_POINTS_PER_TRIAL = 10
-
-
 def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
     """Generate, wrap, normalize and check cfg.trials formulas.
 
@@ -369,22 +322,16 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
                 witness=str(verdict.witness),
             )
         else:
-            # the region-clipped truth sets serve: every sample lies in the region
-            region = verdict.region
-            denominator = _sample_denominator(wrapped, tr, region)
-            points = _sample_points(rng, region, ORACLE_POINTS_PER_TRIAL, denominator)
-            s1, s2 = verdict.truths
-            o1 = oracle_eval_many(wrapped, tr, points)
-            o2 = oracle_eval_many(normalized, tr, points)
-            for pt, a, b in zip(points, o1, o2):
-                if a != s1.contains_point(pt) or b != s2.contains_point(pt):
+            for f, truth in zip((wrapped, normalized), verdict.truths):
+                point = oracle_first_difference(f, tr, truth, verdict.region)
+                if point is not None:
                     failure = TrialFailure(
                         trial=trial,
                         kind="oracle_mismatch",
                         formula=print_formula(wrapped),
                         normalized=print_formula(normalized),
                         trace=format_trace(tr),
-                        witness=str(pt),
+                        witness=str(point),
                     )
                     break
         if failure is None:

@@ -4,7 +4,9 @@ Truth at a query point is decided by descending the formula and
 resolving every dense quantifier ("somewhere / everywhere in a window")
 by scanning a finite sample grid: the complete uniform lattice of step
 1 / (4 * lcm of every denominator in sight), covering the horizon
-padded by the formula's temporal reach on each side.
+padded by the formula's temporal reach on each side.  The same grid
+answers for a whole region at once: oracle_first_difference compares
+an interval set with the formula's truth at every grid point of it.
 
 Why this is exact: every subformula's dense truth set has endpoints on
 the 1/lcm lattice (fact and horizon endpoints combined with sums of
@@ -26,7 +28,8 @@ linear scan over index arrays.
 
 numpy is bound at the first call that builds an array, in _sample_grid
 or _TruthTable.__init__, which every query goes through; importing this
-module does not load it, so the rest of bmtl runs without numpy.
+module does not load it, so the rest of bmtl runs without numpy, and a
+query without it raises NumpyMissingError.
 """
 
 from __future__ import annotations
@@ -34,10 +37,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .errors import OracleGridError, OracleGridRangeError, PointOutsideHorizonError
-from .intervals import rat
+from .errors import (
+    NumpyMissingError,
+    OracleGridError,
+    OracleGridRangeError,
+    PointOutsideHorizonError,
+)
+from .intervals import Interval, IntervalSet, rat, scaled_value
 from .syntax import (
     And,
     BoxMinus,
@@ -65,8 +73,12 @@ def _bind_numpy() -> None:
     """Import numpy on the first call and bind it to the module's np."""
     global np
     if np is None:
-        import numpy
-
+        try:
+            import numpy
+        except ImportError as e:
+            raise NumpyMissingError(
+                "bmtl check needs numpy for its oracle, and numpy cannot be imported"
+            ) from e
         np = numpy
 
 
@@ -85,18 +97,44 @@ def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
             )
     if not pts:
         return []
+    table, root = _truth_arrays(f, tr, pts)
+    return [bool(root[table.index(p)]) for p in pts]
 
+
+def oracle_first_difference(
+    f: Formula, tr: Trace, truth: IntervalSet, region: Interval
+) -> Optional[Fraction]:
+    """The first point of the closed region where f's truth differs from
+    truth, or None when the two agree on the whole region.
+
+    The grid's denominators include the ends of region and of truth's
+    parts, so every piece of the difference has its ends on the 1/lcm
+    lattice and holds a grid point: agreement on the grid's points in
+    region is agreement on all of region.
+    """
+    if not tr.horizon.contains_interval(region):
+        raise PointOutsideHorizonError(f"region {region} outside horizon {tr.horizon}")
+    ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
+    table, root = _truth_arrays(f, tr, ends)
+    first, last = table.index(region.lo), table.index(region.hi) + 1
+    expected = np.zeros(last - first, dtype=bool)
+    for p in truth.parts:
+        # an open end moves one grid index inward
+        left = table.index(p.lo) + (not p.lo_closed) - first
+        right = table.index(p.hi) + p.hi_closed - first
+        expected[max(left, 0):max(right, 0)] = True
+    differ = np.flatnonzero(root[first:last] != expected)
+    if not differ.size:
+        return None
+    return Fraction(table.lo + first + int(differ[0]), table.scale)
+
+
+def _truth_arrays(f: Formula, tr: Trace, pts: Iterable[Fraction]):
+    """The truth table of f on the grid fine enough for pts, and f's
+    truth array on it."""
     scale = 4 * _common_denominator(f, tr, pts)
     table = _TruthTable(tr, _sample_grid(f, tr, scale), scale)
-    root = fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
-    return [bool(root[_scaled(p, scale) - table.lo]) for p in pts]
-
-
-def _scaled(x: Fraction, scale: int) -> int:
-    """x * scale, exactly; scale must be a multiple of x's denominator."""
-    q, r = divmod(scale, x.denominator)
-    assert r == 0
-    return x.numerator * q
+    return table, fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
 
 
 def _common_denominator(f: Formula, tr: Trace, pts: Iterable[Fraction]) -> int:
@@ -108,8 +146,8 @@ def _sample_grid(f: Formula, tr: Trace, scale: int):
     # horizon padded by the formula's reach, so this range covers every
     # point the recursion can consult.
     past, future = temporal_reach(f)
-    lo = _scaled(tr.horizon.lo - past, scale)
-    hi = _scaled(tr.horizon.hi + future, scale)
+    lo = scaled_value(tr.horizon.lo - past, scale)
+    hi = scaled_value(tr.horizon.hi + future, scale)
     if hi - lo > 50_000_000:
         raise OracleGridError(
             f"oracle sample grid too fine ({hi - lo + 1} points, limit 50000001); "
@@ -139,12 +177,14 @@ class _TruthTable:
         self.horizon_mask = np.zeros(n, dtype=bool)
         self._fill_span(self.horizon_mask, tr.horizon)
 
+    def index(self, x: Fraction) -> int:
+        """The grid index of the value x."""
+        return scaled_value(x, self.scale) - self.lo
+
     def _fill_span(self, mask: np.ndarray, span) -> None:
         """Set the grid points of the closed span [span.lo, span.hi]; the
         horizon and its facts lie inside the grid, so no index clips."""
-        left = _scaled(span.lo, self.scale) - self.lo
-        right = _scaled(span.hi, self.scale) - self.lo + 1
-        mask[left:right] = True
+        mask[self.index(span.lo):self.index(span.hi) + 1] = True
 
     def predicate(self, node: Pred, kids) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
@@ -163,8 +203,8 @@ class _TruthTable:
     def _window_edges(self, bound, past: bool):
         """Per grid index i, the half-open index range [left, right) of
         the grid points inside i's window, clipped to the grid."""
-        b1 = _scaled(bound.lo, self.scale)
-        b2 = _scaled(bound.hi, self.scale)
+        b1 = scaled_value(bound.lo, self.scale)
+        b2 = scaled_value(bound.hi, self.scale)
         first, last = (-b2, -b1) if past else (b1, b2)
         return self._shifted_index(first), self._shifted_index(last + 1)
 

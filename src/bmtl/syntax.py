@@ -308,22 +308,15 @@ def temporal_nesting(f: Formula) -> int:
 def bound_denominators(f: Formula) -> set[int]:
     """Denominators of every bound endpoint in f.
 
-    Visits each distinct node once (a walk with a seen-set keyed by
-    identity), so a subtree shared by several parents, as the mitl box
-    rule shares the box body, is read once.
+    One fold, so each distinct node is read once: a subtree shared by
+    several parents, as the mitl box rule shares the box body, costs once.
     """
     dens: set[int] = set()
-    seen: set[int] = set()
-    todo = [f]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        kind = KINDS[type(node)]
-        if kind.bounded:
+
+    def step(node: Formula, kids: list) -> None:
+        if KINDS[type(node)].bounded:
             dens.add(node.bound.lo.denominator)
             dens.add(node.bound.hi.denominator)
-        for name in kind.children:
-            todo.append(getattr(node, name))
+
+    fold(f, step)
     return dens

@@ -8,19 +8,16 @@ import pytest
 import bmtl.evaluate as evaluate_module
 import bmtl.harness as harness_module
 import bmtl.rewrite as rewrite_module
-from bmtl.errors import ConfigError, OracleGridError
+from bmtl.errors import ConfigError
 from bmtl.harness import (
     MAX_DEPTH_CAP,
     GenConfig,
-    _sample_denominator,
-    _sample_points,
-    _stream,
     check_equivalence,
     gen_formula,
     gen_trace,
     run_campaign,
 )
-from bmtl.intervals import Interval
+from bmtl.intervals import Interval, fuse_runs
 from bmtl.rewrite import Punctual, SingletonFree
 from bmtl.syntax import (
     Bound,
@@ -123,66 +120,16 @@ class TestCheckEquivalence:
         assert check_equivalence(f, f, tr).status == "empty_region"
 
 
-class TestSamplePoints:
-    def test_points_stay_inside_region(self):
-        rng = _stream(5, 3, 0)
-        region = Interval(F(-7, 3), F(11, 2))
-        pts = _sample_points(rng, region, 10, 24)
-        assert len(pts) == 10
-        assert all(region.contains(p) for p in pts)
+def open_every_closed_right_end(monkeypatch):
+    """Corrupt the evaluator: every fact's closed right end is opened.
+    The original and the rewritten formula still agree, so only the
+    oracle can tell."""
 
-    def test_narrow_region_falls_back_to_midpoint(self):
-        rng = _stream(5, 3, 0)
-        region = Interval(F(1, 100), F(2, 100))
-        pts = _sample_points(rng, region, 4, 24)
-        assert pts == [F(3, 200)] * 4
+    def opened(node, kids, t):
+        codes = t.base(node.name)
+        return fuse_runs(zip(codes[::2], [hi - 1 for hi in codes[1::2]]))
 
-    @pytest.mark.parametrize(
-        "f, region, expected",
-        [
-            (DiaMinus(Bound(F(1, 4), F(3, 2)), Pred("p")), Interval(F(-3), F(5)), 24),
-            (DiaMinus(Bound(F(1, 5), F(3, 2)), Pred("p")), Interval(F(-3), F(5)), 120),
-            (DiaMinus(Bound(F(1, 8), F(3, 2)), Pred("p")), Interval(F(-3), F(5)), 24),
-            (DiaMinus(Bound(F(1, 16), F(1)), Pred("p")), Interval(F(-3), F(5)), 48),
-            (Pred("p"), Interval(F(-3), F(5, 16)), 48),
-        ],
-        ids=["default", "fifths", "eighths", "sixteenths", "region"],
-    )
-    def test_denominator_comes_from_the_trial(self, f, region, expected):
-        tr = Trace(Interval(F(-4), F(6)), (Fact("p", Interval(F(1, 3), F(2))),))
-        assert _sample_denominator(f, tr, region) == expected
-
-    def test_points_land_on_the_given_lattice(self):
-        rng = _stream(5, 3, 0)
-        region = Interval(F(-7, 3), F(11, 2))
-        pts = _sample_points(rng, region, 10, 120)
-        assert all((p * 120).denominator == 1 for p in pts)
-        assert any((p * 24).denominator != 1 for p in pts)
-
-    def test_lattice_too_long_to_sample_is_a_grid_error(self):
-        rng = _stream(5, 3, 0)
-        with pytest.raises(OracleGridError):
-            _sample_points(rng, Interval(F(0), F(10)), 10, 2**80)
-
-    @pytest.mark.parametrize("mode", [Punctual(), SingletonFree()], ids=["punctual", "mitl"])
-    def test_default_campaign_samples_the_24_lattice(self, monkeypatch, mode):
-        seen = []
-
-        def recording(f, tr, region):
-            seen.append(_sample_denominator(f, tr, region))
-            return seen[-1]
-
-        monkeypatch.setattr(harness_module, "_sample_denominator", recording)
-        report = run_campaign(GenConfig(seed=7, trials=60), mode)
-        assert len(seen) == report.trials > 0
-        assert set(seen) == {24}
-
-    def test_finer_denominators_keep_the_oracle_grid_in_reach(self):
-        # drawing samples from every denominator the settings allow
-        # (twice the lcm of 1..13) made the first trial's grid too fine
-        cfg = GenConfig(seed=0, trials=3, bound_denominator_max=13)
-        report = run_campaign(cfg, Punctual())
-        assert (report.trials, report.passes) == (3, 3)
+    monkeypatch.setitem(evaluate_module._CLAUSES, Pred, opened)
 
 
 class TestCampaigns:
@@ -278,11 +225,28 @@ class TestCampaigns:
         with pytest.raises(ConfigError, match="at most 32"):
             GenConfig(max_depth=MAX_DEPTH_CAP + 1)
 
+    def test_finer_denominators_keep_the_oracle_grid_in_reach(self):
+        # drawing samples from every denominator the settings allow
+        # (twice the lcm of 1..13) made the first trial's grid too fine
+        cfg = GenConfig(seed=0, trials=3, bound_denominator_max=13)
+        report = run_campaign(cfg, Punctual())
+        assert (report.trials, report.passes) == (3, 3)
+
     def test_corrupted_rewrite_is_detected(self, monkeypatch):
         corrupt_punctual_box(monkeypatch)
         report = run_campaign(GenConfig(seed=42, trials=100), Punctual())
         assert len(report.failures) >= 1
         assert all(f.kind in ("mismatch", "oracle_mismatch") for f in report.failures)
+
+    def test_corrupted_evaluator_is_caught_by_the_oracle(self, monkeypatch):
+        open_every_closed_right_end(monkeypatch)
+        report = run_campaign(GenConfig(seed=42, trials=25), Punctual())
+        assert any(f.kind == "oracle_mismatch" for f in report.failures)
+
+    def test_corrupted_evaluator_is_caught_by_the_oracle_in_mitl(self, monkeypatch):
+        open_every_closed_right_end(monkeypatch)
+        report = run_campaign(GenConfig(seed=42, trials=25), SingletonFree())
+        assert any(f.kind == "oracle_mismatch" for f in report.failures)
 
     def test_clean_after_sentinel_reset(self):
         assert rewrite_module.RULES == RULES_AS_SHIPPED

@@ -12,6 +12,7 @@ arithmetic shows up at every grid point it touches.
 """
 
 import math
+import sys
 import time
 from fractions import Fraction as F
 
@@ -20,14 +21,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bmtl.oracle as oracle_module
 from bmtl.errors import (
     BmtlError,
+    NumpyMissingError,
     OracleGridError,
     OracleGridRangeError,
     PointOutsideHorizonError,
 )
-from bmtl.evaluate import eval_truth_set
-from bmtl.intervals import Interval
+from bmtl.evaluate import eval_truth_set, reliable_region
+from bmtl.intervals import Interval, coalesce, from_interval
 from bmtl.oracle import (
     _ARRAYS,
     _TruthTable,
@@ -35,6 +38,7 @@ from bmtl.oracle import (
     _sample_grid,
     oracle_eval_at,
     oracle_eval_many,
+    oracle_first_difference,
 )
 from bmtl.rewrite import SingletonFree, normalize
 from bmtl.syntax import (
@@ -53,7 +57,7 @@ from bmtl.syntax import (
     temporal_reach,
 )
 from bmtl.traces import Fact, Trace
-from conftest import preorder_bounds
+from conftest import formulas_st, preorder_bounds, traces_st
 
 
 # ----------------------------------------------------------- naive reference
@@ -302,6 +306,59 @@ class TestFrozenValues:
         ]
 
 
+class TestFirstDifference:
+    """oracle_first_difference on simple_trace: p holds on [0,4]."""
+
+    def first_difference(self, trace, f, parts, region=Interval(F(-5), F(15))):
+        return oracle_first_difference(f, trace, coalesce(parts), region)
+
+    def test_agreeing_truth_gives_none(self, simple_trace):
+        assert self.first_difference(simple_trace, Pred("p"), [Interval(0, 4)]) is None
+
+    def test_closed_end_flipped_to_open_gives_that_end(self, simple_trace):
+        f = DiaMinus(Bound(F(1), F(2)), Pred("p"))  # true on [1,6]
+        assert self.first_difference(simple_trace, f, [Interval(1, 6)]) is None
+        assert self.first_difference(simple_trace, f, [Interval(1, 6, True, False)]) == 6
+        assert self.first_difference(simple_trace, f, [Interval(1, 6, False, True)]) == 1
+
+    def test_extra_isolated_point_gives_that_point(self, simple_trace):
+        parts = [Interval(0, 4), Interval(F(15, 2), F(15, 2))]
+        assert self.first_difference(simple_trace, Pred("p"), parts) == F(15, 2)
+
+    def test_truth_ends_off_the_formula_lattice_are_differences(self, simple_trace):
+        # the grid takes the 1/7 ends in, so they are compared, not refused
+        too_long = [Interval(0, F(29, 7))]
+        too_short = [Interval(0, F(27, 7))]
+        assert self.first_difference(simple_trace, Pred("p"), too_long) == F(113, 28)
+        assert self.first_difference(simple_trace, Pred("p"), too_short) == F(109, 28)
+
+    def test_region_ends_off_the_formula_lattice(self, simple_trace):
+        region = Interval(F(1, 3), F(13, 3))
+        parts = [Interval(F(1, 3), 4)]
+        assert self.first_difference(simple_trace, Pred("p"), parts, region) is None
+        parts = [Interval(F(1, 3), F(13, 3))]
+        assert self.first_difference(simple_trace, Pred("p"), parts, region) == F(49, 12)
+
+    def test_only_the_region_is_compared(self, simple_trace):
+        parts = [Interval(0, 4, True, False)]
+        assert self.first_difference(simple_trace, Pred("p"), parts, Interval(2, 3)) is None
+        assert self.first_difference(simple_trace, Pred("p"), [], Interval(5, 15)) is None
+        assert self.first_difference(simple_trace, Pred("p"), [], Interval(4, 15)) == 4
+
+    def test_region_outside_horizon_rejected(self, simple_trace):
+        with pytest.raises(PointOutsideHorizonError):
+            self.first_difference(simple_trace, Pred("p"), [], Interval(0, 16))
+
+    @settings(max_examples=400, deadline=None)
+    @given(formulas_st(allow_not=True), traces_st())
+    def test_evaluator_agrees_on_the_whole_region(self, f, tr):
+        region = reliable_region(f, tr)
+        if region is None:
+            return
+        truth = eval_truth_set(f, tr).intersect(from_interval(region))
+        assert oracle_first_difference(f, tr, truth, region) is None
+
+
 class TestAgainstNaiveReference:
     @settings(max_examples=150, deadline=None)
     @given(small_formulas(), small_traces(), st.data())
@@ -434,6 +491,22 @@ class TestGridLimits:
         assert isinstance(info.value, BmtlError)
         assert isinstance(info.value, OracleGridRangeError)
         assert info.value.code == "ORACLE_GRID_OUT_OF_RANGE"
+
+    def test_truth_ends_too_fine_for_the_grid_raise_oracle_grid_error(self):
+        tr = Trace(Interval(F(0), F(100)), ())
+        truth = coalesce([Interval(1, 1 + F(1, 1_000_003))])
+        with pytest.raises(OracleGridError) as info:
+            oracle_first_difference(Pred("p"), tr, truth, tr.horizon)
+        assert info.value.code == "ORACLE_GRID_TOO_FINE"
+
+    def test_query_without_numpy_raises_numpy_missing(self, monkeypatch, simple_trace):
+        monkeypatch.setattr(oracle_module, "np", None)
+        monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
+        with pytest.raises(NumpyMissingError) as info:
+            oracle_eval_at(Pred("p"), simple_trace, F(1))
+        assert isinstance(info.value, BmtlError)
+        assert info.value.code == "NUMPY_MISSING"
+        assert "numpy" in str(info.value)
 
 
 class TestSharedSubtrees:

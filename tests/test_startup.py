@@ -74,6 +74,19 @@ print(exit_code, numpy_loaded())
     assert run_fresh(code) == "0 True\n"
 
 
+def test_check_without_numpy_exits_2_and_names_numpy():
+    code = """\
+import contextlib, io
+sys.modules["numpy"] = None  # makes `import numpy` fail
+from bmtl.cli import main
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    exit_code = main(["check", "--mode", "punctual", "--trials", "2"])
+print(exit_code, "numpy" in err.getvalue())
+"""
+    assert run_fresh(code) == "2 True\n"
+
+
 @pytest.mark.parametrize(
     "first_call, expected",
     [
