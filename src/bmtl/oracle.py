@@ -3,28 +3,44 @@
 Truth at a query point is decided by descending the formula and
 resolving every dense quantifier ("somewhere / everywhere in a window")
 by scanning a finite sample grid: the complete uniform lattice of step
-1 / (4 * lcm of every denominator in sight), covering the horizon
+1 / (2L), with L the lcm of every denominator in sight (the trace's, the
+bounds', and those of the query points or of the region and truth ends
+being compared).  oracle_eval_many builds the grid over the horizon,
+oracle_first_difference over the region it compares; either span is
 padded by the formula's temporal reach on each side.  The same grid
 answers for a whole region at once: oracle_first_difference compares
 an interval set with the formula's truth at every grid point of it.
 
-Why this is exact: every subformula's dense truth set has endpoints on
-the 1/lcm lattice (fact and horizon endpoints combined with sums of
-bound endpoints), every quantifier window is closed with endpoints on
-the 1/(4*lcm) lattice, and anything nonempty that such pieces carve out
-of a closed window is wide enough to contain a grid point, or contains
-one of its own closed endpoints, which is itself a grid point.  So a
-witness (or a violation) exists densely iff one exists on the grid, and
-by induction grid evaluation agrees with the dense semantics at every
-grid point.
+Why this is exact.  At scale L time splits into atoms, as in
+bmtl.intervals: the points x/L and the open gaps between them.  Every
+subformula's dense truth set is a union of atoms, because its ends are
+fact and horizon ends combined with sums of bound ends, all on the 1/L
+lattice.  The 2L grid holds every point atom and the midpoint of every
+gap.  A quantifier window anchored at a grid point is closed, with ends
+on the 2L grid, so a gap that meets it has its midpoint in it: either
+the gap lies inside the window, or a window end is the gap's midpoint.
+The window thus holds a grid point of every atom it meets, and "some"
+and "every" over its grid points agree with their dense versions.  A
+since/until witness inside a gap can move to the gap's midpoint: the
+left operand is constant on the gap, so it still holds from the moved
+witness to the query point.  By induction, grid evaluation agrees with
+the dense semantics at every grid point whose dependence interval lies
+in the grid.  Truth at t depends only on [t - past, t + future], with
+(past, future) the formula's temporal reach, so the span padded by the
+reach bounds every point the recursion consults for a point of the
+span; windows anchored nearer the grid's ends are clipped, and their
+values are never consulted.  (On the 1/L grid the argument fails: open
+gaps hold no grid point.)
 
-All arithmetic is exact: values are scaled by 4 * lcm, making every
-grid point an integer, and the per-node work runs on numpy arrays of
-int64 (the scaled magnitudes here stay far below the 64-bit range;
-anything larger is rejected loudly rather than silently wrapped).
-The grid is the run of consecutive integers from the scaled lower end
-lo, so grid index i is the scaled value lo + i, and every kernel is a
-linear scan over index arrays.
+All arithmetic is exact: values are scaled by 2L, making every grid
+point an integer, and the per-node work runs on numpy arrays of int64
+(the scaled magnitudes here stay far below the 64-bit range; anything
+larger is rejected loudly rather than silently wrapped).  The grid is
+the run of consecutive integers from the scaled lower end lo, so grid
+index i is the scaled value lo + i, and every kernel is a linear scan
+over index arrays.  Predicate masks are filled from the trace's own int
+fact ends (Trace.spans); the oracle builds no Fact and uses none of the
+evaluator's atom-code kernel.
 
 numpy is bound at the first call that builds an array, in _sample_grid
 or _TruthTable.__init__, which every query goes through; importing this
@@ -97,7 +113,7 @@ def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
             )
     if not pts:
         return []
-    table, root = _truth_arrays(f, tr, pts)
+    table, root = _truth_arrays(f, tr, pts, tr.horizon)
     return [bool(root[table.index(p)]) for p in pts]
 
 
@@ -108,14 +124,14 @@ def oracle_first_difference(
     truth, or None when the two agree on the whole region.
 
     The grid's denominators include the ends of region and of truth's
-    parts, so every piece of the difference has its ends on the 1/lcm
-    lattice and holds a grid point: agreement on the grid's points in
-    region is agreement on all of region.
+    parts, so the difference is a union of atoms, each holding a grid
+    point: agreement on the grid's points in region is agreement on all
+    of region.  The grid spans only region padded by f's reach.
     """
     if not tr.horizon.contains_interval(region):
         raise PointOutsideHorizonError(f"region {region} outside horizon {tr.horizon}")
     ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
-    table, root = _truth_arrays(f, tr, ends)
+    table, root = _truth_arrays(f, tr, ends, region)
     first, last = table.index(region.lo), table.index(region.hi) + 1
     expected = np.zeros(last - first, dtype=bool)
     for p in truth.parts:
@@ -129,11 +145,12 @@ def oracle_first_difference(
     return Fraction(table.lo + first + int(differ[0]), table.scale)
 
 
-def _truth_arrays(f: Formula, tr: Trace, pts: Iterable[Fraction]):
-    """The truth table of f on the grid fine enough for pts, and f's
-    truth array on it."""
-    scale = 4 * _common_denominator(f, tr, pts)
-    table = _TruthTable(tr, _sample_grid(f, tr, scale), scale)
+def _truth_arrays(f: Formula, tr: Trace, pts: Iterable[Fraction], span: Interval):
+    """The truth table of f on the grid fine enough for pts, over span
+    padded by f's reach, and f's truth array on it, exact at every grid
+    point of span."""
+    scale = 2 * _common_denominator(f, tr, pts)
+    table = _TruthTable(tr, _sample_grid(f, span, scale), scale)
     return table, fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
 
 
@@ -141,13 +158,17 @@ def _common_denominator(f: Formula, tr: Trace, pts: Iterable[Fraction]) -> int:
     return math.lcm(tr.scale, *bound_denominators(f), *(p.denominator for p in pts))
 
 
-def _sample_grid(f: Formula, tr: Trace, scale: int):
-    # No window anchored inside the horizon ever reaches beyond the
-    # horizon padded by the formula's reach, so this range covers every
-    # point the recursion can consult.
+def _sample_grid(f: Formula, span: Interval, scale: int):
+    """The grid over span padded by f's reach, as scaled int values.
+
+    Truth at t depends only on [t - past, t + future], so this range
+    holds the dependence interval of every point of span: every point
+    the recursion consults for them.  Point atoms and gap midpoints at
+    scale / 2 are all on it (the module docstring has the argument).
+    """
     past, future = temporal_reach(f)
-    lo = scaled_value(tr.horizon.lo - past, scale)
-    hi = scaled_value(tr.horizon.hi + future, scale)
+    lo = scaled_value(span.lo - past, scale)
+    hi = scaled_value(span.hi + future, scale)
     if hi - lo > 50_000_000:
         raise OracleGridError(
             f"oracle sample grid too fine ({hi - lo + 1} points, limit 50000001); "
@@ -175,22 +196,25 @@ class _TruthTable:
         _bind_numpy()
         self.idx = np.arange(n, dtype=np.int64)
         self.horizon_mask = np.zeros(n, dtype=bool)
-        self._fill_span(self.horizon_mask, tr.horizon)
+        self._fill_span(self.horizon_mask, scaled_value(tr.horizon.lo, scale),
+                        scaled_value(tr.horizon.hi, scale))
 
     def index(self, x: Fraction) -> int:
         """The grid index of the value x."""
         return scaled_value(x, self.scale) - self.lo
 
-    def _fill_span(self, mask: np.ndarray, span) -> None:
-        """Set the grid points of the closed span [span.lo, span.hi]; the
-        horizon and its facts lie inside the grid, so no index clips."""
-        mask[self.index(span.lo):self.index(span.hi) + 1] = True
+    def _fill_span(self, mask: np.ndarray, lo: int, hi: int) -> None:
+        """Set the grid points of the closed span [lo, hi] of scaled
+        values.  The grid may crop the span on either side, and a
+        negative slice start would wrap around, so both ends clamp at 0."""
+        mask[max(lo - self.lo, 0):max(hi + 1 - self.lo, 0)] = True
 
     def predicate(self, node: Pred, kids) -> np.ndarray:
         mask = np.zeros(self.n, dtype=bool)
-        for fact in self.tr.facts:
-            if fact.predicate == node.name:
-                self._fill_span(mask, fact.span)
+        factor = self.scale // self.tr.scale
+        los, his = self.tr.spans(node.name)
+        for lo, hi in zip(los, his):
+            self._fill_span(mask, lo * factor, hi * factor)
         return mask
 
     def _shifted_index(self, offset: int) -> np.ndarray:

@@ -18,9 +18,11 @@ its truth base as atom codes at that scale (:meth:`Trace.codes`; atom
 codes are described in :mod:`bmtl.intervals`).  The evaluator scales
 time by a multiple of the same lcm, so it takes these codes as they are,
 or times an integer factor when the formula's bounds add denominators
-(see :mod:`bmtl.evaluate`).  The Fraction forms, ``facts`` and
-:meth:`Trace.truth_base`, are built from the ints on first read and
-cached; the horizon stays a Fraction interval.
+(see :mod:`bmtl.evaluate`).  :meth:`Trace.spans` hands out the unfused
+int ends themselves; the oracle reads the trace through it.  The
+Fraction forms, ``facts`` and :meth:`Trace.truth_base`, are built from
+the ints on first read and cached; the horizon stays a Fraction
+interval.
 
 ``parse_trace`` reads each endpoint as a (numerator, denominator) pair
 of ints and makes its per-line checks, inverted span and containment in
@@ -40,7 +42,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
 from .intervals import Interval, IntervalSet, decode, fuse_runs, scaled_value
@@ -141,6 +143,12 @@ class Trace:
             codes = self._codes[predicate] = fuse_runs(
                 sorted(zip([2 * lo for lo in los], [2 * hi for hi in his])))
         return codes
+
+    def spans(self, predicate: str) -> tuple[Sequence[int], Sequence[int]]:
+        """The ends of predicate's facts times scale, as the lists (los,
+        his) in fact order, both empty when it has no facts; callers must
+        not mutate them.  Nothing is fused or built."""
+        return self._spans.get(predicate, ((), ()))
 
     def predicates(self) -> set[str]:
         return set(self._spans)

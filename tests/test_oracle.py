@@ -8,7 +8,10 @@ oracle's vectorized bookkeeping cannot hide in the reference.
 The kernel references compute the oracle's whole truth arrays by binary
 search on the grid values (np.searchsorted), without assuming that the
 grid is a run of consecutive integers, so a slip in the oracle's index
-arithmetic shows up at every grid point it touches.
+arithmetic shows up at every grid point it touches.  On the quarter-step
+grid over the padded horizon they also give a reference first
+difference, which the oracle's half-step grid over the padded region
+must match atom for atom.
 """
 
 import math
@@ -30,7 +33,7 @@ from bmtl.errors import (
     PointOutsideHorizonError,
 )
 from bmtl.evaluate import eval_truth_set, reliable_region
-from bmtl.intervals import Interval, coalesce, from_interval
+from bmtl.intervals import Interval, coalesce, from_interval, make_interval
 from bmtl.oracle import (
     _ARRAYS,
     _TruthTable,
@@ -56,7 +59,7 @@ from bmtl.syntax import (
     fold,
     temporal_reach,
 )
-from bmtl.traces import Fact, Trace
+from bmtl.traces import Fact, Trace, parse_trace
 from conftest import formulas_st, preorder_bounds, traces_st
 
 
@@ -228,6 +231,37 @@ def _reference_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
     return arrays
 
 
+def _reference_first_difference(f, tr: Trace, truth, region: Interval):
+    """oracle_first_difference's answer from the kernel references on
+    the grid of step 1/(4L) over the horizon padded by f's reach, with L
+    the oracle's common denominator: twice as fine as the oracle's grid,
+    and over every point the formula can consult."""
+    ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
+    scale = 4 * _common_denominator(f, tr, ends)
+    past, future = temporal_reach(f)
+    xs = np.arange(
+        _as_int((tr.horizon.lo - past) * scale),
+        _as_int((tr.horizon.hi + future) * scale) + 1,
+        dtype=np.int64,
+    )
+    root = _reference_truth_arrays(f, tr, xs, scale)[-1]
+    expected = np.zeros(len(xs), dtype=bool)
+    for p in truth.parts:
+        left = np.searchsorted(xs, _as_int(p.lo * scale), "left" if p.lo_closed else "right")
+        right = np.searchsorted(xs, _as_int(p.hi * scale), "right" if p.hi_closed else "left")
+        expected[left:right] = True
+    in_region = (xs >= _as_int(region.lo * scale)) & (xs <= _as_int(region.hi * scale))
+    differ = np.flatnonzero(in_region & (root != expected))
+    return F(int(xs[differ[0]]), scale) if differ.size else None
+
+
+def _atom(x: F, scale: int) -> int:
+    """The atom code of the point x at scale: 2k for the point k/scale,
+    2k + 1 for the open gap (k/scale, (k + 1)/scale)."""
+    k = x * scale
+    return 2 * k.numerator if k.denominator == 1 else 2 * math.floor(k) + 1
+
+
 def _oracle_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
     table = _TruthTable(tr, xs, scale)
     arrays: list = []
@@ -329,15 +363,25 @@ class TestFirstDifference:
         # the grid takes the 1/7 ends in, so they are compared, not refused
         too_long = [Interval(0, F(29, 7))]
         too_short = [Interval(0, F(27, 7))]
-        assert self.first_difference(simple_trace, Pred("p"), too_long) == F(113, 28)
-        assert self.first_difference(simple_trace, Pred("p"), too_short) == F(109, 28)
+        assert self.first_difference(simple_trace, Pred("p"), too_long) == F(57, 14)
+        assert self.first_difference(simple_trace, Pred("p"), too_short) == F(55, 14)
 
     def test_region_ends_off_the_formula_lattice(self, simple_trace):
         region = Interval(F(1, 3), F(13, 3))
         parts = [Interval(F(1, 3), 4)]
         assert self.first_difference(simple_trace, Pred("p"), parts, region) is None
         parts = [Interval(F(1, 3), F(13, 3))]
-        assert self.first_difference(simple_trace, Pred("p"), parts, region) == F(49, 12)
+        assert self.first_difference(simple_trace, Pred("p"), parts, region) == F(25, 6)
+
+    def test_a_missing_open_gap_is_a_difference(self):
+        # f is true on the open gap (4,5) alone: no integer lies in it,
+        # but its midpoint is on the half-step grid
+        tr = Trace(Interval(F(-5), F(15)),
+                   (Fact("p", Interval(F(0), F(4))), Fact("q", Interval(F(5), F(6)))))
+        f = And(And(Not(Pred("p")), Not(Pred("q"))), DiaMinus(Bound(F(0), F(1)), Pred("p")))
+        gap = [Interval(4, 5, False, False)]
+        assert self.first_difference(tr, f, gap) is None
+        assert 4 < self.first_difference(tr, f, []) < 5
 
     def test_only_the_region_is_compared(self, simple_trace):
         parts = [Interval(0, 4, True, False)]
@@ -357,6 +401,44 @@ class TestFirstDifference:
             return
         truth = eval_truth_set(f, tr).intersect(from_interval(region))
         assert oracle_first_difference(f, tr, truth, region) is None
+
+    @settings(max_examples=500, deadline=None)
+    @given(formulas_st(allow_not=True), traces_st(), st.data())
+    def test_perturbed_truths_match_the_quarter_step_reference(self, f, tr, data):
+        # the evaluator's truth with one end's closedness flipped or one
+        # part dropped; a dropped open gap (k/L, (k+1)/L) holds no point
+        # of a 1/L grid, so only a grid with gap midpoints sees it
+        region = reliable_region(f, tr)
+        if region is None:
+            return
+        parts = list(eval_truth_set(f, tr).intersect(from_interval(region)).parts)
+        if parts:
+            i = data.draw(st.integers(0, len(parts) - 1))
+            p = parts.pop(i)
+            move = data.draw(st.sampled_from(("drop", "flip lo", "flip hi")))
+            if move != "drop":
+                flip_lo = move == "flip lo"
+                parts.append(make_interval(
+                    p.lo, p.hi, p.lo_closed ^ flip_lo, p.hi_closed ^ (not flip_lo)))
+        truth = coalesce(parts)
+        got = oracle_first_difference(f, tr, truth, region)
+        want = _reference_first_difference(f, tr, truth, region)
+        if want is None:
+            assert got is None
+        else:
+            ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
+            scale = _common_denominator(f, tr, ends)
+            assert got is not None and _atom(got, scale) == _atom(want, scale)
+
+    def test_queries_on_a_parsed_trace_build_no_fact(self, monkeypatch):
+        tr = parse_trace("horizon [-2,9]\np @ [0,3/2]\nq @ [1,4]\np @ [5,8]\n")
+        built = []
+        monkeypatch.setattr(Fact, "__post_init__", lambda fact: built.append(fact))
+        f = Since(Pred("p"), Bound(F(0), F(2)), Not(Pred("q")))
+        truth = coalesce([Interval(0, 1), Interval(5, 8)])
+        oracle_first_difference(f, tr, truth, Interval(F(1, 3), 7))
+        oracle_eval_many(f, tr, [F(-2), F(1, 2), F(6), F(9)])
+        assert built == []
 
 
 class TestAgainstNaiveReference:
@@ -465,12 +547,51 @@ class TestKernelsAgainstSearchsorted:
     @given(small_formulas(), small_traces(), st.sampled_from((1, 3)))
     def test_truth_arrays_match_reference(self, f, tr, refine):
         scale = 4 * refine * _common_denominator(f, tr, [])
-        xs = _sample_grid(f, tr, scale)
+        xs = _sample_grid(f, tr.horizon, scale)
         new = _oracle_truth_arrays(f, tr, xs, scale)
         ref = _reference_truth_arrays(f, tr, xs, scale)
         assert len(new) == len(ref)
         for a, b in zip(new, ref):
             np.testing.assert_array_equal(a, b)
+
+
+class TestSpanMasks:
+    """_TruthTable's masks from the trace's int spans against masks built
+    from tr.facts, on grids that crop the horizon and grids that pad it."""
+
+    TRACE = (
+        "horizon [-3,6]\n"
+        "p @ [-3,-5/2]\n"  # wholly before the cropped grid
+        "p @ [-2,1/4]\n"  # across the cropped grid's left end
+        "p @ [1/2,1/2]\n"
+        "p @ [1,3/2]\n"
+        "p @ [5/4,2]\n"  # overlaps the fact before
+        "q @ [3,6]\n"  # across the cropped grid's right end
+        "q @ [11/2,6]\n"  # wholly after the cropped grid
+    )
+
+    @pytest.mark.parametrize("factor", [2, 6, 12])
+    @pytest.mark.parametrize("lo, hi", [(F(-1), F(4)), (F(-7, 2), F(13, 2)), (F(-3), F(6))])
+    def test_span_masks_equal_fact_masks(self, factor, lo, hi):
+        tr = parse_trace(self.TRACE)
+        assert tr.scale == 4
+        scale = factor * tr.scale
+        xs = np.arange(_as_int(lo * scale), _as_int(hi * scale) + 1, dtype=np.int64)
+        table = _TruthTable(tr, xs, scale)
+
+        def fact_mask(name):
+            mask = np.zeros(len(xs), dtype=bool)
+            for fact in tr.facts:
+                if fact.predicate == name:
+                    mask |= _reference_span_mask(
+                        xs, _as_int(fact.span.lo * scale), _as_int(fact.span.hi * scale))
+            return mask
+
+        for name in ("p", "q", "r"):
+            np.testing.assert_array_equal(table.predicate(Pred(name), []), fact_mask(name))
+        horizon = _reference_span_mask(
+            xs, _as_int(tr.horizon.lo * scale), _as_int(tr.horizon.hi * scale))
+        np.testing.assert_array_equal(table.horizon_mask, horizon)
 
 
 class TestGridLimits:
@@ -485,9 +606,9 @@ class TestGridLimits:
 
     def test_grid_ends_past_the_int64_range_raise_oracle_grid_error(self):
         # a tiny grid, but its scaled ends pass 2**62
-        tr = Trace(Interval(2**60, 2**60 + 1), ())
+        tr = Trace(Interval(2**61, 2**61 + 1), ())
         with pytest.raises(OracleGridError) as info:
-            oracle_eval_at(Pred("p"), tr, 2**60)
+            oracle_eval_at(Pred("p"), tr, 2**61)
         assert isinstance(info.value, BmtlError)
         assert isinstance(info.value, OracleGridRangeError)
         assert info.value.code == "ORACLE_GRID_OUT_OF_RANGE"

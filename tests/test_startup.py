@@ -90,7 +90,7 @@ print(exit_code, "numpy" in err.getvalue())
 @pytest.mark.parametrize(
     "first_call, expected",
     [
-        ("xs = _sample_grid(f, tr, 4)\nprint(len(xs), int(xs[0]))", "17 -8\n"),
+        ("xs = _sample_grid(f, tr.horizon, 4)\nprint(len(xs), int(xs[0]))", "17 -8\n"),
         (
             "t = _TruthTable(tr, list(range(-8, 9)), 4)\nprint(t.n, int(t.horizon_mask.sum()))",
             "17 17\n",
