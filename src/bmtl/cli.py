@@ -3,7 +3,7 @@
 Subcommands: parse, rewrite, eval, census, check.  Machine-readable
 output goes to stdout, diagnostics to stderr.  Exit codes: 0 success
 (and campaigns with zero failures), 1 campaign failures, 2 syntax
-errors and invalid campaign settings (including an oracle grid too fine
+errors and invalid campaign settings (including an oracle grid too large
 to build), 3 rewrite precondition violations, 4 I/O errors (including
 files that are not UTF-8), 5 a campaign that compared no trial, 6 an
 internal error (an exception that is not a BmtlError: a fault in bmtl).
@@ -25,7 +25,7 @@ from .intervals import Interval, IntervalSet
 from .parser import parse_formula
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
 from .syntax import Formula, census, print_formula, s_expression
-from .traces import _RAT, parse_trace
+from .traces import RATIONAL, parse_trace
 
 EXIT_OK = 0
 EXIT_CAMPAIGN_FAILURES = 1
@@ -36,7 +36,7 @@ EXIT_NOTHING_COMPARED = 5
 EXIT_INTERNAL = 6
 
 
-_RATIONAL_RE = re.compile(_RAT)
+_RATIONAL_RE = re.compile(RATIONAL)
 
 
 def _fraction_arg(text: str) -> Fraction:

@@ -310,33 +310,26 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
             report.empty_regions += 1
             continue
         report.trials += 1
-        failure: Optional[TrialFailure] = None
+        kind = first_diff = None
         if verdict.status == "not_equal":
-            failure = TrialFailure(
+            kind, first_diff, witness = "mismatch", str(verdict.first_diff), verdict.witness
+        else:
+            for f, truth in zip((wrapped, normalized), verdict.truths):
+                witness = oracle_first_difference(f, tr, truth, verdict.region)
+                if witness is not None:
+                    kind = "oracle_mismatch"
+                    break
+        if kind is None:
+            report.passes += 1
+        else:
+            report.failures.append(TrialFailure(
                 trial=trial,
-                kind="mismatch",
+                kind=kind,
                 formula=print_formula(wrapped),
                 normalized=print_formula(normalized),
                 trace=format_trace(tr),
-                first_diff=str(verdict.first_diff),
-                witness=str(verdict.witness),
-            )
-        else:
-            for f, truth in zip((wrapped, normalized), verdict.truths):
-                point = oracle_first_difference(f, tr, truth, verdict.region)
-                if point is not None:
-                    failure = TrialFailure(
-                        trial=trial,
-                        kind="oracle_mismatch",
-                        formula=print_formula(wrapped),
-                        normalized=print_formula(normalized),
-                        trace=format_trace(tr),
-                        witness=str(point),
-                    )
-                    break
-        if failure is None:
-            report.passes += 1
-        else:
-            report.failures.append(failure)
+                first_diff=first_diff,
+                witness=str(witness),
+            ))
     report.wall_time_s = time.monotonic() - started
     return report

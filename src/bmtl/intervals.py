@@ -23,7 +23,9 @@ and last atoms, and the endpoint flags drop out of every operation:
 The kernel below works on such lists of ints and never mutates its
 arguments.  Each :class:`IntervalSet` method encodes its operands at the
 lcm of their denominators, runs the kernel and decodes;
-:mod:`bmtl.evaluate` stays in codes from the trace to its result.
+:mod:`bmtl.evaluate` stays in codes from the trace to its result.  Window
+shifts, the dilation of diamonds and the erosion of boxes, have no set
+method: the evaluator calls :func:`shift_codes` directly.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
-from .errors import MemberOutsideUniverseError, NegativeBoundError
+from .errors import MemberOutsideUniverseError
 
 RationalLike = Union[Fraction, int]
 
@@ -204,11 +206,9 @@ def complement_codes(codes: Sequence[int], lo: int, hi: int) -> list[int]:
     return out
 
 
-def _scale(parts: Iterable[Interval], *values: Fraction) -> int:
-    """The lcm of the denominators of parts' ends and of values."""
-    return math.lcm(
-        *{x.denominator for p in parts for x in (p.lo, p.hi)}, *(v.denominator for v in values)
-    )
+def _scale(parts: Iterable[Interval]) -> int:
+    """The lcm of the denominators of parts' ends."""
+    return math.lcm(*{x.denominator for p in parts for x in (p.lo, p.hi)})
 
 
 def _canonical(parts: Sequence[Interval]) -> "IntervalSet":
@@ -262,45 +262,6 @@ class IntervalSet:
             p = next(p for p in self.parts if not universe.contains_interval(p))
             raise MemberOutsideUniverseError(f"member {p} not contained in universe {universe}")
         return decode(complement_codes(codes, lo, hi), scale)
-
-    def dilate(self, shift_lo: RationalLike, shift_hi: RationalLike) -> "IntervalSet":
-        """Minkowski sum with the closed shift interval [shift_lo, shift_hi].
-
-        Shifts may be negative; endpoint closedness follows the source.
-        """
-        shift_lo, shift_hi = rat(shift_lo), rat(shift_hi)
-        if shift_lo > shift_hi:
-            raise ValueError("inverted shift interval")
-        return self._shifted(shift_lo, shift_hi)
-
-    def erode(self, lo: RationalLike, hi: RationalLike, direction: str) -> "IntervalSet":
-        """Points whose whole displaced window lies in the set.
-
-        direction "past": keep t with [t - hi, t - lo] fully inside;
-        direction "future": keep t with [t + lo, t + hi] fully inside.
-        Because the set is canonical, a closed window fits iff it fits
-        inside one single part, so each part shrinks independently.
-        """
-        lo, hi = rat(lo), rat(hi)
-        if lo < 0:
-            raise NegativeBoundError("erosion window must not reach negative offsets")
-        if lo > hi:
-            raise ValueError("inverted erosion window")
-        if direction == "past":
-            return self._shifted(hi, lo)
-        if direction == "future":
-            return self._shifted(-lo, -hi)
-        raise ValueError(f"unknown erosion direction: {direction!r}")
-
-    def _shifted(self, d_lo: Fraction, d_hi: Fraction) -> "IntervalSet":
-        """Every part [lo, hi] moved to [lo + d_lo, hi + d_hi]."""
-        scale = _scale(self.parts, d_lo, d_hi)
-        codes = encode(self.parts, scale)
-        return decode(shift_codes(codes, 2 * scaled_value(d_lo, scale),
-                                  2 * scaled_value(d_hi, scale)), scale)
-
-    def is_subset_of(self, other: "IntervalSet") -> bool:
-        return self.intersect(other) == self
 
     def contains_point(self, t: RationalLike) -> bool:
         t = rat(t)

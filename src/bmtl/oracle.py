@@ -167,12 +167,13 @@ def _sample_grid(f: Formula, span: Interval, scale: int):
     scale / 2 are all on it (the module docstring has the argument).
     """
     past, future = temporal_reach(f)
-    lo = scaled_value(span.lo - past, scale)
-    hi = scaled_value(span.hi + future, scale)
+    start, stop = span.lo - past, span.hi + future
+    lo, hi = scaled_value(start, scale), scaled_value(stop, scale)
     if hi - lo > 50_000_000:
         raise OracleGridError(
-            f"oracle sample grid too fine ({hi - lo + 1} points, limit 50000001); "
-            "denominators too diverse"
+            f"oracle sample grid has {hi - lo + 1} points, limit 50000001: the padded "
+            f"span [{start},{stop}] is {stop - start} time units wide, at {scale} "
+            "points per time unit"
         )
     if max(abs(lo), abs(hi)) >= _INT64_LIMIT:
         raise OracleGridRangeError(

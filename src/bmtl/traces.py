@@ -47,10 +47,12 @@ from typing import Iterable, Optional, Sequence
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
 from .intervals import Interval, IntervalSet, decode, fuse_runs, scaled_value
 
-# a rational as two groups: numerator, then denominator or None
-_RAT = r"(-?\d+)(?:/(\d+))?"
-_HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{_RAT}\s*,\s*{_RAT}\s*\]$")
-_FACT_RE = re.compile(rf"^([A-Za-z][A-Za-z0-9_]*)\s*@\s*\[\s*{_RAT}\s*,\s*{_RAT}\s*\]$")
+# The rational grammar of trace endpoints and of the CLI's rational
+# options: n or n/d, as two groups (numerator, then denominator or None).
+RATIONAL = r"(-?\d+)(?:/(\d+))?"
+_HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
+_FACT_RE = re.compile(
+    rf"^([A-Za-z][A-Za-z0-9_]*)\s*@\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
 
 
 @dataclass(frozen=True)

@@ -7,13 +7,22 @@ or more examples each.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import bmtl.rewrite as rewrite_module
-from bmtl.intervals import Interval, IntervalSet, coalesce
+from bmtl.intervals import (
+    Interval,
+    IntervalSet,
+    coalesce,
+    decode,
+    encode,
+    scaled_value,
+    shift_codes,
+)
 from bmtl.syntax import (
     KINDS,
     And,
@@ -59,10 +68,15 @@ def nonneg_fractions_st(hi: int = 8, denoms=_DENOMS):
     )
 
 
+# built once: a strategy is validated on its first draw, so a fresh one
+# per interval would be validated again for every interval drawn
+_ENDPOINTS = fractions_st()
+
+
 @st.composite
 def intervals_st(draw):
-    a = draw(fractions_st())
-    b = draw(fractions_st())
+    a = draw(_ENDPOINTS)
+    b = draw(_ENDPOINTS)
     lo, hi = min(a, b), max(a, b)
     if lo == hi:
         return Interval(lo, hi, True, True)
@@ -71,6 +85,27 @@ def intervals_st(draw):
 
 def interval_sets_st(max_parts: int = 5):
     return st.lists(intervals_st(), min_size=0, max_size=max_parts).map(coalesce)
+
+
+def shifted(s: IntervalSet, d_lo, d_hi) -> IntervalSet:
+    """Every part [lo, hi] of s moved to [lo + d_lo, hi + d_hi], by the
+    kernel the evaluator runs: encode at the lcm of every denominator,
+    `shift_codes`, decode.
+
+    The window operators of a bound [lo, hi], with the window that a
+    point t of the result meets (dilate) or fills (erode):
+      dminus, dilate [t - hi, t - lo]          shifted(s, lo, hi)
+      dplus, dilate [t + lo, t + hi]           shifted(s, -hi, -lo)
+      bminus, erode past [t - hi, t - lo]      shifted(s, hi, lo)
+      bplus, erode future [t + lo, t + hi]     shifted(s, -lo, -hi)
+    """
+    scale = math.lcm(
+        *(x.denominator for p in s.parts for x in (p.lo, p.hi)), d_lo.denominator, d_hi.denominator
+    )
+    codes = shift_codes(
+        encode(s.parts, scale), 2 * scaled_value(d_lo, scale), 2 * scaled_value(d_hi, scale)
+    )
+    return decode(codes, scale)
 
 
 @st.composite

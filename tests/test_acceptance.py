@@ -29,16 +29,8 @@ from bmtl.syntax import (
     census,
     print_formula,
 )
-from conftest import corrupt_punctual_box
-from gridcheck import (
-    brute_exists_in_window,
-    brute_forall_in_window,
-    interval_contains,
-    lattice_denominator,
-    padded_grid,
-    set_endpoints,
-    window_grid,
-)
+from conftest import corrupt_punctual_box, shifted
+from gridcheck import exists_in_window, forall_in_window, members, padded_grid
 
 CAMPAIGN_BUDGET_S = 120.0
 CORE_OPS = {"pred", "top", "and", "since", "until"}
@@ -245,18 +237,14 @@ def test_c7_interval_algebra_against_lattice(announce):
     def check_intersect():
         s1, s2 = _random_interval_set(rng), _random_interval_set(rng)
         got = s1.intersect(s2)
-        return all(
-            got.contains_point(x) == (s1.contains_point(x) and s2.contains_point(x))
-            for x in padded_grid([s1, s2, got], [], F(1))
-        )
+        pts = padded_grid([s1, s2, got], [], F(1))
+        return members(got, pts) == [a and b for a, b in zip(members(s1, pts), members(s2, pts))]
 
     def check_union():
         s1, s2 = _random_interval_set(rng), _random_interval_set(rng)
         got = s1.union(s2)
-        return all(
-            got.contains_point(x) == (s1.contains_point(x) or s2.contains_point(x))
-            for x in padded_grid([s1, s2, got], [], F(1))
-        )
+        pts = padded_grid([s1, s2, got], [], F(1))
+        return members(got, pts) == [a or b for a, b in zip(members(s1, pts), members(s2, pts))]
 
     def check_complement():
         s = _random_interval_set(rng)
@@ -264,44 +252,31 @@ def test_c7_interval_algebra_against_lattice(announce):
         universe = Interval(-hi - 9, hi + 9)
         clipped = s.intersect(from_interval(universe))
         got = clipped.complement_within(universe)
-        return all(
-            got.contains_point(x)
-            == (universe.contains(x) and not clipped.contains_point(x))
-            for x in padded_grid([clipped, got], [universe.lo, universe.hi], F(1))
-        )
+        pts = padded_grid([clipped, got], [universe.lo, universe.hi], F(1))
+        return members(got, pts) == [
+            u and not c for u, c in zip(members([universe], pts), members(clipped, pts))
+        ]
 
     def check_dilate():
         s = _random_interval_set(rng)
         lo, hi = _random_bound_pair(rng)
-        got = s.dilate(lo, hi)
-        denom = lattice_denominator(set_endpoints(s), [lo, hi])
-        return all(
-            got.contains_point(x)
-            == brute_exists_in_window(s, window_grid(x, -hi, -lo, denom))
-            for x in padded_grid([s, got], [], hi + 1)
-        )
+        got = shifted(s, lo, hi)
+        pts = padded_grid([s, got], [], hi + 1)
+        return members(got, pts) == exists_in_window(s, pts, -hi, -lo)
 
     def check_erode_past():
         s = _random_interval_set(rng)
         lo, hi = _random_bound_pair(rng)
-        got = s.erode(lo, hi, "past")
-        denom = lattice_denominator(set_endpoints(s), [lo, hi])
-        return all(
-            got.contains_point(x)
-            == brute_forall_in_window(s, window_grid(x, -hi, -lo, denom))
-            for x in padded_grid([s, got], [], hi + 1)
-        )
+        got = shifted(s, hi, lo)
+        pts = padded_grid([s, got], [], hi + 1)
+        return members(got, pts) == forall_in_window(s, pts, -hi, -lo)
 
     def check_erode_future():
         s = _random_interval_set(rng)
         lo, hi = _random_bound_pair(rng)
-        got = s.erode(lo, hi, "future")
-        denom = lattice_denominator(set_endpoints(s), [lo, hi])
-        return all(
-            got.contains_point(x)
-            == brute_forall_in_window(s, window_grid(x, lo, hi, denom))
-            for x in padded_grid([s, got], [], hi + 1)
-        )
+        got = shifted(s, -lo, -hi)
+        pts = padded_grid([s, got], [], hi + 1)
+        return members(got, pts) == forall_in_window(s, pts, lo, hi)
 
     def check_coalesce():
         raw = []
@@ -320,10 +295,8 @@ def test_c7_interval_algebra_against_lattice(announce):
                 )
             )
         got = coalesce(raw)
-        return all(
-            got.contains_point(x) == any(interval_contains(p, x) for p in raw)
-            for x in padded_grid([got] + [from_interval(p) for p in raw], [], F(1))
-        )
+        pts = padded_grid([got] + [from_interval(p) for p in raw], [], F(1))
+        return members(got, pts) == members(raw, pts)
 
     t0 = time.monotonic()
     run_property("intersect", check_intersect)

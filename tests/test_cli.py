@@ -337,6 +337,17 @@ class TestCheck:
         assert out == ""
         assert err.startswith("error: [ORACLE_GRID_TOO_FINE] ")
         assert err.count("\n") == 1
+        # a narrow span at a fine scale: the message names the scale
+        assert "444326401 points" in err
+        assert "[-20,20] is 40 time units wide, at 11108160 points per time unit" in err
+
+    def test_too_wide_oracle_grid_names_the_width(self, capsys):
+        flags = ("--trials", "3", "--horizon-length", "100000000000000000000")
+        code, out, err = run(capsys, "check", "--mode", "mitl", *flags)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: [ORACLE_GRID_TOO_FINE] ")
+        assert "is 299999999999999999975/3 time units wide, at 24 points per time unit" in err
 
     def test_campaign_that_compared_nothing_exits_5(self, capsys):
         flags = ("--horizon-length", "1/2", "--trials", "20")

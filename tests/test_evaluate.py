@@ -27,7 +27,7 @@ from bmtl.syntax import (
     fold,
 )
 from bmtl.traces import Fact, Trace
-from conftest import bounds_st, formulas_st, traces_st
+from conftest import bounds_st, formulas_st, shifted, traces_st
 from hypothesis import strategies as st
 
 
@@ -171,7 +171,7 @@ def _reference_binary_clause(holds, witness, shift_lo, shift_hi):
         j = from_interval(part)
         inside = j.intersect(witness)
         if inside.parts:
-            out = out.union(inside.dilate(shift_lo, shift_hi).intersect(j))
+            out = out.union(shifted(inside, shift_lo, shift_hi).intersect(j))
     return out
 
 
@@ -268,7 +268,8 @@ class TestSinceUntilSweep:
 
 
 def _reference_eval_truth_set(f, tr):
-    """The evaluator as IntervalSet operations: the same clauses run on
+    """The evaluator as IntervalSet operations, with windows by `shifted`:
+    the same clauses run on
     the trace's Fraction truth bases and the bounds as they are, each
     operation at the lcm of its own operands, with since/until by the
     per-part reference (kept as the reference)."""
@@ -278,10 +279,10 @@ def _reference_eval_truth_set(f, tr):
         Top: lambda n, k: horizon,
         Not: lambda n, k: k[0].intersect(horizon).complement_within(tr.horizon),
         And: lambda n, k: k[0].intersect(k[1]),
-        DiaMinus: lambda n, k: k[0].dilate(n.bound.lo, n.bound.hi),
-        DiaPlus: lambda n, k: k[0].dilate(-n.bound.hi, -n.bound.lo),
-        BoxMinus: lambda n, k: k[0].erode(n.bound.lo, n.bound.hi, "past"),
-        BoxPlus: lambda n, k: k[0].erode(n.bound.lo, n.bound.hi, "future"),
+        DiaMinus: lambda n, k: shifted(k[0], n.bound.lo, n.bound.hi),
+        DiaPlus: lambda n, k: shifted(k[0], -n.bound.hi, -n.bound.lo),
+        BoxMinus: lambda n, k: shifted(k[0], n.bound.hi, n.bound.lo),
+        BoxPlus: lambda n, k: shifted(k[0], -n.bound.lo, -n.bound.hi),
         Since: lambda n, k: _reference_binary_clause(k[0], k[1], n.bound.lo, n.bound.hi),
         Until: lambda n, k: _reference_binary_clause(k[0], k[1], -n.bound.hi, -n.bound.lo),
     }

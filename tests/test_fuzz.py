@@ -1,0 +1,87 @@
+"""Fuzzing the input boundary: arbitrary text and bytes must end in a
+`BmtlError` from the parsers and in a documented exit code from the CLI,
+never in a traceback or in exit 6 (an internal error).
+
+`check` is left out: arbitrary argv could start long campaigns.
+"""
+
+import contextlib
+import io
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bmtl.cli as cli
+from bmtl.errors import BmtlError
+from bmtl.parser import parse_formula
+from bmtl.syntax import print_formula
+from bmtl.traces import format_trace, parse_trace
+from conftest import formulas_st, traces_st
+
+
+def _token_text(tokens):
+    """Strings glued from tokens, so inputs get past the first character."""
+    return st.lists(st.sampled_from(tokens), max_size=40).map("".join)
+
+
+_FORMULA_TOKENS = (
+    "p", "q", "true", "!", "&", "(", ")", " ", "U", "S", "bplus", "bminus", "dplus",
+    "dminus", "[", "]", ",", "/", "-", "0", "1", "2", "7", "99999999999999999999",
+)
+_TRACE_TOKENS = (
+    "horizon", "p", "q", "@", "[", "]", ",", "/", "-", " ", "\n", "#", "0", "1", "3",
+    "10", "99999999999999999999",
+)
+
+# arbitrary text, token soup, and well-formed input (alone, or with
+# token soup after it) so that some inputs reach the evaluator
+formulas = st.one_of(
+    st.text(),
+    _token_text(_FORMULA_TOKENS),
+    formulas_st(allow_not=True).map(print_formula),
+)
+traces = st.one_of(
+    st.text(),
+    _token_text(_TRACE_TOKENS),
+    traces_st().map(format_trace),
+    st.tuples(traces_st().map(format_trace), _token_text(_TRACE_TOKENS)).map("".join),
+)
+trace_files = st.one_of(
+    st.binary(),
+    traces.map(lambda t: t.encode("utf-8")),
+    # text with a byte that is never UTF-8 spliced in
+    st.tuples(traces, traces).map(lambda ab: ab[0].encode() + b"\xff" + ab[1].encode()),
+)
+
+
+@settings(max_examples=300)
+@given(formulas)
+def test_parse_formula_raises_only_bmtl_errors(text):
+    try:
+        parse_formula(text)
+    except BmtlError:
+        pass
+
+
+@settings(max_examples=300)
+@given(traces)
+def test_parse_trace_raises_only_bmtl_errors(text):
+    try:
+        parse_trace(text)
+    except BmtlError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def trace_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "trace.txt"
+
+
+@settings(max_examples=150)
+@given(data=trace_files, formula=formulas)
+def test_eval_ends_in_a_documented_exit_code(trace_path, data, formula):
+    trace_path.write_bytes(data)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["eval", "--trace", str(trace_path), "--", formula])
+    assert code in (cli.EXIT_OK, cli.EXIT_SYNTAX, cli.EXIT_IO), err.getvalue()
