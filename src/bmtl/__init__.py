@@ -61,17 +61,17 @@ from .syntax import (
     Formula,
     Not,
     Pred,
+    Scope,
     Since,
     Top,
     Until,
-    bound_denominators,
     census,
     children,
     is_negation_free,
     print_formula,
     s_expression,
+    scope,
     temporal_nesting,
-    temporal_reach,
 )
 from .traces import Fact, Trace, format_trace, parse_trace
 

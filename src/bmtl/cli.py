@@ -97,7 +97,7 @@ class _IOFailure(Exception):
 
 def _build_mode(ns) -> RewriteMode:
     if ns.mode == "punctual":
-        if ns.kappa is not None or getattr(ns, "lam", None) is not None:
+        if ns.kappa is not None or ns.lam is not None:
             raise _UsageError("--kappa/--lambda only apply to --mode mitl")
         return Punctual()
     return SingletonFree(kappa=ns.kappa, lam=ns.lam)

@@ -31,8 +31,8 @@ Evaluation runs on atom codes in integer time (see
 first and last atoms of each of its parts.  A trace holds its truth
 bases as codes at its own scale, the lcm of its horizon's and facts'
 denominators (see :mod:`bmtl.traces`).  At entry, L is the lcm of that
-scale and of the denominators of the formula's bounds; the bases the
-formula reads are taken from the trace as they are, or times the
+scale and of the formula's bound scale (see syntax.scope); the bases
+the formula reads are taken from the trace as they are, or times the
 integer L / scale when the bounds add a denominator, and the horizon and
 each bound are coded at L once.  Every clause is then a kernel sweep
 over ints: shifting time by a bound endpoint b adds 2bL to a code, so
@@ -74,9 +74,8 @@ from .syntax import (
     Since,
     Top,
     Until,
-    bound_denominators,
     fold,
-    temporal_reach,
+    scope,
 )
 from .traces import Trace
 
@@ -104,17 +103,17 @@ def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
 class _IntegerTime:
     """The horizon and the truth bases f reads, as codes in integer time.
 
-    scale is the lcm of the trace's scale and of the denominators of f's
-    bounds, so a multiple of the trace's scale: a base the trace already
-    holds as codes is taken as it is when the two scales agree, and
-    times their integer ratio otherwise.  ``of`` codes a shift by a bound
-    endpoint.  A per-call temporary: nothing it rescales outlives the
-    evaluation.
+    scale is the lcm of the trace's scale and of f's bound scale (see
+    ``scope``), so a multiple of the trace's scale: a base the trace
+    already holds as codes is taken as it is when the two scales agree,
+    and times their integer ratio otherwise.  ``of`` codes a shift by a
+    bound endpoint.  A per-call temporary: nothing it rescales outlives
+    the evaluation.
     """
 
     def __init__(self, f: Formula, tr: Trace):
         self.tr = tr
-        self.scale = math.lcm(tr.scale, *bound_denominators(f))
+        self.scale = math.lcm(tr.scale, scope(f).scale)
         self.factor = self.scale // tr.scale
         self.horizon = [self.of(tr.horizon.lo), self.of(tr.horizon.hi)]
         self._bases: dict[str, list[int]] = {}
@@ -165,9 +164,9 @@ def reliable_region(f: Formula, tr: Trace) -> Optional[Interval]:
 
 
 def combined_reliable_region(tr: Trace, *formulas: Formula) -> Optional[Interval]:
-    reaches = [temporal_reach(f) for f in formulas]
-    past = max(r[0] for r in reaches)
-    future = max(r[1] for r in reaches)
+    scopes = [scope(f) for f in formulas]
+    past = max(s.past for s in scopes)
+    future = max(s.future for s in scopes)
     if past + future >= tr.horizon.width:
         return None
     return Interval(tr.horizon.lo + past, tr.horizon.hi - future)

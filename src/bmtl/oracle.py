@@ -3,13 +3,15 @@
 Truth at a query point is decided by descending the formula and
 resolving every dense quantifier ("somewhere / everywhere in a window")
 by scanning a finite sample grid: the complete uniform lattice of step
-1 / (2L), with L the lcm of every denominator in sight (the trace's, the
-bounds', and those of the query points or of the region and truth ends
-being compared).  oracle_eval_many builds the grid over the horizon,
-oracle_first_difference over the region it compares; either span is
-padded by the formula's temporal reach on each side.  The same grid
-answers for a whole region at once: oracle_first_difference compares
-an interval set with the formula's truth at every grid point of it.
+1 / (2L), with L the lcm of every denominator in sight (the trace's
+scale, the formula's bound scale, and those of the query points or of
+the region and truth ends being compared).  oracle_eval_many builds the
+grid over the horizon, oracle_first_difference over the region it
+compares; either span is padded by the formula's reach on each side,
+and one syntax.scope per query gives both reach and bound scale.  The
+same grid answers for a whole region at once: oracle_first_difference
+compares an interval set with the formula's truth at every grid point
+of it.
 
 Why this is exact.  At scale L time splits into atoms, as in
 bmtl.intervals: the points x/L and the open gaps between them.  Every
@@ -26,10 +28,10 @@ left operand is constant on the gap, so it still holds from the moved
 witness to the query point.  By induction, grid evaluation agrees with
 the dense semantics at every grid point whose dependence interval lies
 in the grid.  Truth at t depends only on [t - past, t + future], with
-(past, future) the formula's temporal reach, so the span padded by the
-reach bounds every point the recursion consults for a point of the
-span; windows anchored nearer the grid's ends are clipped, and their
-values are never consulted.  (On the 1/L grid the argument fails: open
+past and future the formula's reach, so the span padded by the reach
+bounds every point the recursion consults for a point of the span;
+windows anchored nearer the grid's ends are clipped, and their values
+are never consulted.  (On the 1/L grid the argument fails: open
 gaps hold no grid point.)
 
 All arithmetic is exact: values are scaled by 2L, making every grid
@@ -74,9 +76,8 @@ from .syntax import (
     Since,
     Top,
     Until,
-    bound_denominators,
     fold,
-    temporal_reach,
+    scope,
 )
 from .traces import Trace
 
@@ -149,25 +150,19 @@ def _truth_arrays(f: Formula, tr: Trace, pts: Iterable[Fraction], span: Interval
     """The truth table of f on the grid fine enough for pts, over span
     padded by f's reach, and f's truth array on it, exact at every grid
     point of span."""
-    scale = 2 * _common_denominator(f, tr, pts)
-    table = _TruthTable(tr, _sample_grid(f, span, scale), scale)
+    s = scope(f)
+    scale = 2 * math.lcm(tr.scale, s.scale, *(p.denominator for p in pts))
+    xs = _sample_grid(span.lo - s.past, span.hi + s.future, scale)
+    table = _TruthTable(tr, xs, scale)
     return table, fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
 
 
-def _common_denominator(f: Formula, tr: Trace, pts: Iterable[Fraction]) -> int:
-    return math.lcm(tr.scale, *bound_denominators(f), *(p.denominator for p in pts))
+def _sample_grid(start: Fraction, stop: Fraction, scale: int):
+    """The grid over [start, stop], as the int values scaled by scale.
 
-
-def _sample_grid(f: Formula, span: Interval, scale: int):
-    """The grid over span padded by f's reach, as scaled int values.
-
-    Truth at t depends only on [t - past, t + future], so this range
-    holds the dependence interval of every point of span: every point
-    the recursion consults for them.  Point atoms and gap midpoints at
-    scale / 2 are all on it (the module docstring has the argument).
+    Point atoms and gap midpoints at scale / 2 are all on it (the module
+    docstring has the argument).
     """
-    past, future = temporal_reach(f)
-    start, stop = span.lo - past, span.hi + future
     lo, hi = scaled_value(start, scale), scaled_value(stop, scale)
     if hi - lo > 50_000_000:
         raise OracleGridError(

@@ -20,11 +20,13 @@ generators read it.  fold(f, step) is the one traversal: iterative and
 post-order, it calls step(node, operand results) once per distinct node
 object, with a memo keyed by identity, so no subtree is hashed and depth
 is bounded only by memory.  The evaluator, the oracle and the analyses
-here run on it, each dispatching through a dict keyed by node class.
+here run on it, each dispatching through a dict keyed by node class;
+scope(f), f's reach and bound scale, is the one analysis of its bounds.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -275,48 +277,54 @@ def is_negation_free(f: Formula) -> bool:
 
 # the side each temporal operator looks toward: 0 the past, 1 the future
 _LOOKS_TOWARD = {DiaMinus: 0, BoxMinus: 0, Since: 0, DiaPlus: 1, BoxPlus: 1, Until: 1}
-_NO_REACH = (Fraction(0), Fraction(0))
+_NO_SCOPE = (0, 0, 1)
 
 
-def _reach_step(node: Formula, kids: list) -> tuple[Fraction, Fraction]:
-    past, future = kids[0] if kids else _NO_REACH
-    for p, f in kids[1:]:
-        past, future = max(past, p), max(future, f)
-    side = _LOOKS_TOWARD.get(type(node))
-    if side == 0:
-        past += node.bound.hi
-    elif side == 1:
-        future += node.bound.hi
-    return past, future
-
-
-def temporal_reach(f: Formula) -> tuple[Fraction, Fraction]:
-    """Over-approximate (past, future) dependence radius of a formula.
+@dataclass(frozen=True)
+class Scope:
+    """How far a formula looks and how finely its bounds cut time.
 
     Truth at t is determined by trace content within
-    [t - past, t + future]; the envelope grows by the bound's upper
-    endpoint on the side the operator looks toward.
+    [t - past, t + future]: each operator adds its bound's upper
+    endpoint on the side it looks toward, and a binary node takes the
+    larger reach of its operands on each side.  scale is the lcm of the
+    denominators of every bound endpoint, 1 for a formula without bounds.
     """
-    return fold(f, _reach_step)
+
+    past: Fraction
+    future: Fraction
+    scale: int
+
+
+def _scope_step(node: Formula, kids: list) -> tuple[int, int, int]:
+    """(past, future, scale) of a node, its reach as integers at scale."""
+    side = _LOOKS_TOWARD.get(type(node))
+    if side is None and len(kids) < 2:
+        # a predicate, true or a negation: no bound and nothing to combine
+        return kids[0] if kids else _NO_SCOPE
+    scales = [s for _, _, s in kids]
+    if side is not None:
+        hi = node.bound.hi
+        scales += (node.bound.lo.denominator, hi.denominator)
+    scale = math.lcm(*scales)
+    reach = [max(k[i] * (scale // k[2]) for k in kids) for i in (0, 1)]
+    if side is not None:
+        reach[side] += hi.numerator * (scale // hi.denominator)
+    return reach[0], reach[1], scale
+
+
+def scope(f: Formula) -> Scope:
+    """f's reach and bound scale from one fold in integer time.
+
+    A node's reach is kept at the lcm of the bound denominators below
+    it, rescaled by an integer factor where operands meet, and becomes
+    Fractions once, at the root.  A subtree shared by several parents,
+    as the mitl box rule shares the box body, is read once.
+    """
+    past, future, scale = fold(f, _scope_step)
+    return Scope(Fraction(past, scale), Fraction(future, scale), scale)
 
 
 def temporal_nesting(f: Formula) -> int:
     """Maximum number of temporal operators on any root-to-leaf path."""
     return fold(f, lambda node, kids: KINDS[type(node)].bounded + max(kids, default=0))
-
-
-def bound_denominators(f: Formula) -> set[int]:
-    """Denominators of every bound endpoint in f.
-
-    One fold, so each distinct node is read once: a subtree shared by
-    several parents, as the mitl box rule shares the box body, costs once.
-    """
-    dens: set[int] = set()
-
-    def step(node: Formula, kids: list) -> None:
-        if KINDS[type(node)].bounded:
-            dens.add(node.bound.lo.denominator)
-            dens.add(node.bound.hi.denominator)
-
-    fold(f, step)
-    return dens

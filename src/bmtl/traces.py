@@ -152,9 +152,6 @@ class Trace:
         not mutate them.  Nothing is fused or built."""
         return self._spans.get(predicate, ((), ()))
 
-    def predicates(self) -> set[str]:
-        return set(self._spans)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented

@@ -171,6 +171,33 @@ def preorder_bounds(f) -> list[Bound]:
     return out
 
 
+def bound_lcm(f) -> int:
+    """The lcm of the denominators of every bound endpoint in f (1 for
+    none), read from preorder_bounds."""
+    return math.lcm(*(x.denominator for b in preorder_bounds(f) for x in (b.lo, b.hi)))
+
+
+_PAST_KINDS = {"dminus", "bminus", "since"}
+_FUTURE_KINDS = {"dplus", "bplus", "until"}
+
+
+def reference_reach(f) -> tuple[Fraction, Fraction]:
+    """(past, future) by plain recursion on Fractions: on each side, the
+    largest sum of bound upper ends along any root-to-leaf path, over the
+    operators that look toward that side.  Every path is walked, so keep
+    f small when it shares subtrees."""
+    past = future = Fraction(0)
+    for k in children(f):
+        p, q = reference_reach(k)
+        past, future = max(past, p), max(future, q)
+    name = KINDS[type(f)].name
+    if name in _PAST_KINDS:
+        past += f.bound.hi
+    elif name in _FUTURE_KINDS:
+        future += f.bound.hi
+    return past, future
+
+
 @st.composite
 def traces_st(draw, max_facts: int = 5, horizon_max: int = 12):
     a = draw(st.integers(min_value=-horizon_max, max_value=0))

@@ -21,12 +21,13 @@ from bmtl.syntax import (
     Bound,
     Not,
     Pred,
+    Scope,
     Top,
     census,
     print_formula,
     s_expression,
+    scope,
     temporal_nesting,
-    temporal_reach,
 )
 from bmtl.traces import parse_trace
 
@@ -67,7 +68,7 @@ def test_printers_and_analyses():
         "(true U[0,0] (q S[0,0] dminus[0,0] dplus[0,0] bminus[0,0] bplus[0,0] (true & !(true U"
     )
     assert s_expression(f).count("(") == c.size
-    assert temporal_reach(f) == (F(0), F(0))
+    assert scope(f) == Scope(F(0), F(0), 1)
     temporal = sum(per_kind(OPERATORS, k) for k in OPERATORS if k not in ("not", "and"))
     assert temporal_nesting(f) == temporal
 

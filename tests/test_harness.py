@@ -7,7 +7,9 @@ import pytest
 
 import bmtl.evaluate as evaluate_module
 import bmtl.harness as harness_module
+import bmtl.oracle as oracle_module
 import bmtl.rewrite as rewrite_module
+import bmtl.syntax as syntax_module
 from bmtl.errors import ConfigError
 from bmtl.harness import (
     MAX_DEPTH_CAP,
@@ -184,8 +186,8 @@ class TestCampaigns:
             "trials",
         ]
 
-    def test_each_formula_is_evaluated_and_reached_once_per_trial(self, monkeypatch):
-        calls = {"eval": 0, "reach": 0}
+    def test_fold_budget_per_trial(self, monkeypatch):
+        calls = {"eval": 0, "fold": 0}
 
         def counting(name, fn):
             def wrapped(*args):
@@ -196,15 +198,18 @@ class TestCampaigns:
         monkeypatch.setattr(
             harness_module, "eval_truth_set", counting("eval", harness_module.eval_truth_set)
         )
-        monkeypatch.setattr(
-            evaluate_module, "temporal_reach", counting("reach", evaluate_module.temporal_reach)
-        )
+        fold = counting("fold", syntax_module.fold)
+        for module in (syntax_module, evaluate_module, oracle_module):
+            monkeypatch.setattr(module, "fold", fold)
         cfg = GenConfig(seed=5, trials=30, horizon_length=F(6), bound_max=F(4))
         report = run_campaign(cfg, Punctual())
         assert report.trials > 0 and report.empty_regions > 0
         # the oracle checks reuse the truth sets the comparison computed
         assert calls["eval"] == 2 * report.trials
-        assert calls["reach"] == 2 * cfg.trials
+        # per formula of a compared trial: scope for the region, the
+        # evaluator's scale and the oracle's grid, then the evaluator's
+        # and the oracle's fold; an empty region stops after the first
+        assert calls["fold"] == 10 * report.trials + 2 * report.empty_regions
 
     @pytest.mark.parametrize(
         "settings",

@@ -37,7 +37,6 @@ from bmtl.intervals import Interval, coalesce, from_interval, make_interval
 from bmtl.oracle import (
     _ARRAYS,
     _TruthTable,
-    _common_denominator,
     _sample_grid,
     oracle_eval_at,
     oracle_eval_many,
@@ -57,10 +56,9 @@ from bmtl.syntax import (
     Top,
     Until,
     fold,
-    temporal_reach,
 )
 from bmtl.traces import Fact, Trace, parse_trace
-from conftest import formulas_st, preorder_bounds, traces_st
+from conftest import bound_lcm, formulas_st, preorder_bounds, reference_reach, traces_st
 
 
 # ----------------------------------------------------------- naive reference
@@ -75,7 +73,7 @@ def _lattice(tr: Trace, f, extra_denoms) -> list[F]:
         dens.add(b.lo.denominator)
         dens.add(b.hi.denominator)
     step = F(1, 4 * math.lcm(*dens))
-    past, future = temporal_reach(f)
+    past, future = reference_reach(f)
     lo, hi = tr.horizon.lo - past, tr.horizon.hi + future
     n = int((hi - lo) / step)
     return [lo + i * step for i in range(n + 1)]
@@ -231,14 +229,20 @@ def _reference_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
     return arrays
 
 
+def _grid_denominator(f, tr: Trace, pts) -> int:
+    """The oracle's L, worked out here: the lcm of the trace's scale, of
+    every bound endpoint's denominator and of the points'."""
+    return math.lcm(tr.scale, bound_lcm(f), *(p.denominator for p in pts))
+
+
 def _reference_first_difference(f, tr: Trace, truth, region: Interval):
     """oracle_first_difference's answer from the kernel references on
     the grid of step 1/(4L) over the horizon padded by f's reach, with L
     the oracle's common denominator: twice as fine as the oracle's grid,
     and over every point the formula can consult."""
     ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
-    scale = 4 * _common_denominator(f, tr, ends)
-    past, future = temporal_reach(f)
+    scale = 4 * _grid_denominator(f, tr, ends)
+    past, future = reference_reach(f)
     xs = np.arange(
         _as_int((tr.horizon.lo - past) * scale),
         _as_int((tr.horizon.hi + future) * scale) + 1,
@@ -427,7 +431,7 @@ class TestFirstDifference:
             assert got is None
         else:
             ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
-            scale = _common_denominator(f, tr, ends)
+            scale = _grid_denominator(f, tr, ends)
             assert got is not None and _atom(got, scale) == _atom(want, scale)
 
     def test_queries_on_a_parsed_trace_build_no_fact(self, monkeypatch):
@@ -546,8 +550,9 @@ class TestKernelsAgainstSearchsorted:
     @settings(max_examples=150, deadline=None)
     @given(small_formulas(), small_traces(), st.sampled_from((1, 3)))
     def test_truth_arrays_match_reference(self, f, tr, refine):
-        scale = 4 * refine * _common_denominator(f, tr, [])
-        xs = _sample_grid(f, tr.horizon, scale)
+        scale = 4 * refine * _grid_denominator(f, tr, [])
+        past, future = reference_reach(f)
+        xs = _sample_grid(tr.horizon.lo - past, tr.horizon.hi + future, scale)
         new = _oracle_truth_arrays(f, tr, xs, scale)
         ref = _reference_truth_arrays(f, tr, xs, scale)
         assert len(new) == len(ref)

@@ -90,7 +90,10 @@ print(exit_code, "numpy" in err.getvalue())
 @pytest.mark.parametrize(
     "first_call, expected",
     [
-        ("xs = _sample_grid(f, tr.horizon, 4)\nprint(len(xs), int(xs[0]))", "17 -8\n"),
+        (
+            "xs = _sample_grid(tr.horizon.lo, tr.horizon.hi, 4)\nprint(len(xs), int(xs[0]))",
+            "17 -8\n",
+        ),
         (
             "t = _TruthTable(tr, list(range(-8, 9)), 4)\nprint(t.n, int(t.horizon_mask.sum()))",
             "17 17\n",
@@ -103,9 +106,7 @@ def test_oracle_entry_works_as_first_call(first_call, expected):
 from fractions import Fraction
 from bmtl.intervals import Interval
 from bmtl.oracle import _TruthTable, _sample_grid
-from bmtl.parser import parse_formula
 from bmtl.traces import Trace
-f = parse_formula("p")
 tr = Trace(Interval(Fraction(-2), Fraction(2)), ())
 assert not numpy_loaded()
 """

@@ -1,5 +1,6 @@
-"""Formula AST: bounds, printing, parsing round-trips, census, reach."""
+"""Formula AST: bounds, printing, parsing round-trips, census, scope."""
 
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -16,20 +17,20 @@ from bmtl.syntax import (
     DiaPlus,
     Not,
     Pred,
+    Scope,
     Since,
     Top,
     Until,
-    bound_denominators,
     census,
     children,
     is_negation_free,
     print_formula,
     replace_children,
     s_expression,
+    scope,
     temporal_nesting,
-    temporal_reach,
 )
-from conftest import formulas_st, preorder_bounds
+from conftest import bound_lcm, formulas_st, preorder_bounds, reference_reach
 
 
 class TestBound:
@@ -149,16 +150,18 @@ class TestStructure:
         assert not is_negation_free(And(Pred("p"), Not(Pred("q"))))
 
     @given(formulas_st(max_depth=4, allow_not=True))
-    def test_bound_denominators_match_every_bound(self, f):
-        bounds = preorder_bounds(f)
-        assert bound_denominators(f) == {x.denominator for b in bounds for x in (b.lo, b.hi)}
+    def test_scope_matches_references(self, f):
+        assert scope(f) == Scope(*reference_reach(f), bound_lcm(f))
 
-    def test_bound_denominators_read_a_shared_subtree_once(self):
+    def test_scope_reads_a_shared_subtree_once(self):
         # every level uses the level below twice: 2**60 root-to-leaf paths
         node = Pred("p")
         for i in range(1, 61):
             node = And(DiaPlus(Bound(F(0), F(1, i)), node), node)
-        assert bound_denominators(node) == set(range(1, 61))
+        s = scope(node)
+        assert s.scale == math.lcm(*range(1, 61))
+        # the longest path runs through every diamond
+        assert (s.past, s.future) == (F(0), sum(F(1, i) for i in range(1, 61)))
 
 
 class TestCensus:
@@ -188,24 +191,33 @@ class TestCensus:
         assert census(f).size == count(f)
 
 
-class TestReach:
+class TestScope:
     def test_leaf_has_no_reach(self):
-        assert temporal_reach(Pred("p")) == (F(0), F(0))
+        assert scope(Pred("p")) == Scope(F(0), F(0), 1)
 
     def test_past_and_future_accumulate(self):
         f = DiaMinus(Bound(F(1), F(2)), DiaPlus(Bound(F(0), F(3)), Pred("p")))
-        assert temporal_reach(f) == (F(2), F(3))
+        assert scope(f) == Scope(F(2), F(3), 1)
 
     def test_and_takes_componentwise_max(self):
         f = And(
             DiaMinus(Bound(F(0), F(5)), Pred("p")),
             DiaPlus(Bound(F(0), F(2)), Pred("q")),
         )
-        assert temporal_reach(f) == (F(5), F(2))
+        assert scope(f) == Scope(F(5), F(2), 1)
+
+    def test_operands_at_different_scales_meet_at_their_lcm(self):
+        f = Since(
+            DiaMinus(Bound(F(1, 4), F(1, 2)), Pred("p")),
+            Bound(F(1, 3), F(2, 3)),
+            DiaPlus(Bound(F(0), F(5, 6)), Not(Pred("q"))),
+        )
+        assert scope(f) == Scope(F(7, 6), F(5, 6), 12)
 
     @given(formulas_st(max_depth=4, allow_not=True))
     def test_reach_nonnegative_and_bounded_by_sum(self, f):
-        past, future = temporal_reach(f)
+        s = scope(f)
+        past, future = s.past, s.future
         total = sum((b.hi for b in preorder_bounds(f)), F(0))
         assert F(0) <= past <= total
         assert F(0) <= future <= total

@@ -338,7 +338,6 @@ class TestAgainstReferenceIngest:
         tr = parse_trace(text)
         assert tr.horizon == horizon
         assert tr.facts == facts
-        assert tr.predicates() == set(bases)
         for name in ("p", "q", "r", "other"):
             assert tr.truth_base(name) == bases.get(name, coalesce([]))
         assert tr == Trace(horizon, facts)
