@@ -42,9 +42,12 @@ _RATIONAL_RE = re.compile(RATIONAL)
 def _fraction_arg(text: str) -> Fraction:
     """A rational written as trace endpoints are: n or n/d, d nonzero."""
     m = _RATIONAL_RE.fullmatch(text)
-    if m is None or m[2] is not None and int(m[2]) == 0:
-        raise argparse.ArgumentTypeError(f"not a rational n or n/d: {text!r}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+    try:
+        if m is not None and int(m[2] or 1):
+            return Fraction(int(m[1]), int(m[2] or 1))
+    except ValueError:  # a number past the int conversion limit
+        pass
+    raise argparse.ArgumentTypeError(f"not a rational n or n/d: {text!r}")
 
 
 def _interval_json(p: Interval) -> dict:
@@ -73,6 +76,8 @@ def _read_text(path: str) -> str:
         raise _IOFailure(str(e))
     except UnicodeDecodeError as e:
         raise _IOFailure(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})")
+    except ValueError as e:  # open() refuses a path holding a NUL
+        raise _IOFailure(f"{path!r}: {e}")
 
 
 def _load_formula(ns) -> Formula:

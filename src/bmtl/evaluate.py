@@ -28,19 +28,20 @@ of truth(A2).
 
 Evaluation runs on atom codes in integer time (see
 :mod:`bmtl.intervals`): each truth set is a flat list of ints, the
-first and last atoms of each of its parts.  A trace holds its truth
-bases as codes at its own scale, the lcm of its horizon's and facts'
-denominators (see :mod:`bmtl.traces`).  At entry, L is the lcm of that
-scale and of the formula's bound scale (see syntax.scope); the bases
-the formula reads are taken from the trace as they are, or times the
-integer L / scale when the bounds add a denominator, and the horizon and
-each bound are coded at L once.  Every clause is then a kernel sweep
-over ints: shifting time by a bound endpoint b adds 2bL to a code, so
-no endpoint flag, Fraction or object is touched until the result is
-decoded once at exit into an IntervalSet with Fraction ends.  This is
-exact: each clause only compares codes and adds shifts to them, so it
-commutes with scaling all of time by L > 0, and no rounding and no
-float enters.  The rescaled copies live only for the one call.
+first and last atoms of each of its parts.  A trace keeps its facts'
+ends as ints at its own scale, the lcm of its horizon's and facts'
+denominators, and fuses a predicate's truth base into codes at that
+scale when read (see :mod:`bmtl.traces`).  At entry, L is the lcm of
+that scale and of the formula's bound scale (see syntax.scope); each
+base the formula reads is read from the trace once and taken as it
+is, or times the integer L / scale when the bounds add a denominator,
+and the horizon and each bound are coded at L once.  Every clause is
+then a kernel sweep over ints: shifting time by a bound endpoint b adds
+2bL to a code, so no endpoint flag, Fraction or object is touched until
+the result is decoded once at exit into an IntervalSet with Fraction
+ends.  This is exact: each clause only compares codes and adds shifts
+to them, so it commutes with scaling all of time by L > 0, and no
+rounding and no float enters.  The rescaled copies live only for the one call.
 
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
@@ -105,8 +106,8 @@ class _IntegerTime:
 
     scale is the lcm of the trace's scale and of f's bound scale (see
     ``scope``), so a multiple of the trace's scale: a base the trace
-    already holds as codes is taken as it is when the two scales agree,
-    and times their integer ratio otherwise.  ``of`` codes a shift by a
+    fuses into codes at its scale is taken as it is when the two scales
+    agree, and times their integer ratio otherwise.  ``of`` codes a shift by a
     bound endpoint.  A per-call temporary: nothing it rescales outlives
     the evaluation.
     """

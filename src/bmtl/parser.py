@@ -21,6 +21,7 @@ nest at most MAX_PAREN_DEPTH deep.
 from __future__ import annotations
 
 import re
+import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
@@ -181,15 +182,24 @@ class _Parser:
             self.next()
             sign = -1
         num = self.expect("int", "an integer")
-        value = Fraction(int(num.text))
+        value = Fraction(self.integer(num))
         tok = self.peek()
         if tok is not None and tok.kind == "/":
             self.next()
             den = self.expect("int", "a denominator")
-            if int(den.text) == 0:
+            d = self.integer(den)
+            if d == 0:
                 raise ParseError("zero denominator", den.line, den.column)
-            value = Fraction(int(num.text), int(den.text))
+            value /= d
         return sign * value
+
+    @staticmethod
+    def integer(tok: Token) -> int:
+        try:
+            return int(tok.text)
+        except ValueError:  # only a number past the int conversion limit gets here
+            limit = sys.get_int_max_str_digits()
+            raise ParseError(f"number longer than {limit} digits", tok.line, tok.column) from None
 
 
 def parse_formula(text: str) -> Formula:

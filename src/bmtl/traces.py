@@ -11,41 +11,45 @@ The horizon line must come first.  Fact order is irrelevant; spans for
 the same predicate may overlap and are coalesced into a canonical truth
 base.  Predicates never mentioned have an empty base (closed-world).
 
-Traces live in integer time.  A trace's ``scale`` is the lcm of the
-denominators of its horizon and facts; it keeps each fact's ends times
-scale as ints, and when a predicate is first read fuses its spans into
-its truth base as atom codes at that scale (:meth:`Trace.codes`; atom
-codes are described in :mod:`bmtl.intervals`).  The evaluator scales
-time by a multiple of the same lcm, so it takes these codes as they are,
-or times an integer factor when the formula's bounds add denominators
-(see :mod:`bmtl.evaluate`).  :meth:`Trace.spans` hands out the unfused
-int ends themselves; the oracle reads the trace through it.  The
-Fraction forms, ``facts`` and :meth:`Trace.truth_base`, are built from
-the ints on first read and cached; the horizon stays a Fraction
-interval.
+Traces live in integer time, in one form: the horizon as a Fraction
+interval, a ``scale`` (the lcm of the denominators of the horizon and
+the facts), each predicate's fact ends times scale as ints, and the
+predicate of each fact in fact order.  Every other view is computed on
+each read and nothing is cached: :meth:`Trace.codes` fuses a predicate's
+spans into atom codes at scale (see :mod:`bmtl.intervals`),
+:meth:`Trace.truth_base` decodes them, and ``facts`` builds Fractions.
+An eval reads each predicate's codes once (a seeded eval-large mix
+repeats none of its 32 reads), and a 300-trial campaign repeats 432 of
+its 980, each a fuse of at most five facts.  The evaluator scales time
+by a multiple of the same lcm, so it takes the codes as they are, or
+times an integer factor when the formula's bounds add denominators (see
+:mod:`bmtl.evaluate`).  :meth:`Trace.spans` hands out the unfused int
+ends; the oracle reads the trace through it.
 
-``parse_trace`` reads each endpoint as a (numerator, denominator) pair
-of ints and makes its per-line checks, inverted span and containment in
-the horizon, by cross-multiplication, so an outside fact is still
-reported at its own line even when a later line is malformed.  It builds
-Fractions only for an error message, which therefore names the same
-normalized values as before (``-04/6`` reads as ``-2/3``).
-``Trace(horizon, facts)`` scales its facts into the same int form, and
-both then run one core, which checks each predicate's hull, its least
-start and greatest end, against the horizon, and scans the facts in
-order only when that check fails, to name the first offender.
+One core, ``Trace._build``, turns ends given as (p, q, r, s) for
+[p/q, r/s] into that form: the lcm, one factor per denominator, and the
+gcd of the surplus that unreduced ends such as 2/4 leave in scale.  It
+checks nothing; each way in checks its own input.  ``parse_trace`` reads
+each endpoint as a pair of ints and makes its per-line checks, inverted
+span and containment in the horizon, by cross-multiplication, so an
+outside fact is reported at its own line even when a later line is
+malformed.  It builds Fractions only for an error message, which names
+the normalized values (``-04/6`` reads as ``-2/3``).
+``Trace(horizon, facts)`` checks that the horizon is closed and wide,
+then each fact's containment in fact order, naming the first offender.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
-from .intervals import Interval, IntervalSet, decode, fuse_runs, scaled_value
+from .intervals import Interval, IntervalSet, decode, fuse_runs
 
 # The rational grammar of trace endpoints and of the CLI's rational
 # options: n or n/d, as two groups (numerator, then denominator or None).
@@ -71,80 +75,67 @@ class Trace:
     Equal traces have equal horizons and equal facts in the same order.
     """
 
-    __slots__ = ("horizon", "scale", "_spans", "_order", "_facts", "_codes", "_bases")
+    __slots__ = ("horizon", "scale", "_spans", "_order")
 
     def __init__(self, horizon: Interval, facts: Iterable[Fact]):
-        facts = tuple(facts)
-        scale = math.lcm(
-            horizon.lo.denominator,
-            horizon.hi.denominator,
-            *{x.denominator for fact in facts for x in (fact.span.lo, fact.span.hi)},
-        )
-        spans: dict[str, tuple[list[int], list[int]]] = {}
-        for fact in facts:
-            los, his = spans.setdefault(fact.predicate, ([], []))
-            los.append(scaled_value(fact.span.lo, scale))
-            his.append(scaled_value(fact.span.hi, scale))
-        self._build(horizon, scale, spans, None, facts)
-
-    def _build(self, horizon, scale, spans, order, facts) -> None:
-        """The one core: spans maps each predicate to the lists of its
-        facts' ends times scale; order is the predicate of each fact in
-        fact order, when facts (the Fraction form) is not given."""
         if not (horizon.lo_closed and horizon.hi_closed):
             raise ValueError("horizon must be a closed interval")
         if horizon.lo >= horizon.hi:
             raise ValueError("horizon must have positive width")
-        self.horizon, self.scale = horizon, scale
-        self._spans, self._order, self._facts = spans, order, facts
-        self._codes: dict[str, list[int]] = {}
-        self._bases: dict[str, IntervalSet] = {}
-        # facts are closed, so checking each predicate's least start and
-        # greatest end checks every fact
-        first, last = scaled_value(horizon.lo, scale), scaled_value(horizon.hi, scale)
-        for los, his in spans.values():
-            if min(los) < first or max(his) > last:
-                self._reject_first_outside_fact()
-
-    def _reject_first_outside_fact(self) -> None:
-        for fact in self.facts:
-            if not self.horizon.contains_interval(fact.span):
+        ends: dict[str, list[tuple[int, int, int, int]]] = {}
+        order = []
+        for fact in facts:
+            if not horizon.contains_interval(fact.span):
                 raise FactOutsideHorizonError(
-                    f"fact {fact.predicate} @ {fact.span} lies outside horizon {self.horizon}"
+                    f"fact {fact.predicate} @ {fact.span} lies outside horizon {horizon}"
                 )
+            lo, hi = fact.span.lo, fact.span.hi
+            ends.setdefault(fact.predicate, []).append(
+                (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+            order.append(fact.predicate)
+        self._build(horizon, ends, order)
+
+    def _build(self, horizon: Interval, ends, order: list[str]) -> None:
+        """The one core: ends maps each predicate to its facts' checked
+        (p, q, r, s), q and s positive; order is each fact's predicate."""
+        h = math.lcm(horizon.lo.denominator, horizon.hi.denominator)
+        dens = {d for group in ends.values() for _, q, _, s in group for d in (q, s)}
+        scale = math.lcm(h, *dens)
+        factor = {den: scale // den for den in dens}
+        spans = {
+            name: ([p * factor[q] for p, q, _, _ in group], [r * factor[s] for _, _, r, s in group])
+            for name, group in ends.items()
+        }
+        # unreduced ends such as 2/4 leave a common factor in scale: divide it out
+        lists = [e for pair in spans.values() for e in pair]
+        surplus = math.gcd(scale // h, *(math.gcd(*e) for e in lists))
+        if surplus > 1:
+            scale //= surplus
+            for e in lists:
+                e[:] = [v // surplus for v in e]
+        self.horizon, self.scale, self._spans, self._order = horizon, scale, spans, order
 
     @property
     def facts(self) -> tuple[Fact, ...]:
-        """The facts in order, as Fractions (built on first read)."""
-        if self._facts is None:
-            scale = self.scale
-            ends = {name: zip(los, his) for name, (los, his) in self._spans.items()}
-            facts = []
-            for name in self._order:
-                lo, hi = next(ends[name])
-                facts.append(Fact(name, Interval(Fraction(lo, scale), Fraction(hi, scale))))
-            self._facts, self._order = tuple(facts), None
-        return self._facts
+        """The facts in order, as Fractions, built anew on each read."""
+        scale = self.scale
+        ends = {name: zip(los, his) for name, (los, his) in self._spans.items()}
+        facts = []
+        for name in self._order:
+            lo, hi = next(ends[name])
+            facts.append(Fact(name, Interval(Fraction(lo, scale), Fraction(hi, scale))))
+        return tuple(facts)
 
     def truth_base(self, predicate: str) -> IntervalSet:
         """Coalesced set of times at which the predicate is true."""
-        base = self._bases.get(predicate)
-        if base is None:
-            base = self._bases[predicate] = decode(self.codes(predicate), self.scale)
-        return base
+        return decode(self.codes(predicate), self.scale)
 
     def codes(self, predicate: str) -> list[int]:
-        """truth_base(predicate) as atom codes at scale, fused on first
-        read; callers must not mutate the list.  Every span is closed, so
+        """truth_base(predicate) as atom codes at scale, fused anew on each
+        read, so callers may mutate the list.  Every span is closed, so
         every code is even: the span [lo, hi] is the run [2lo, 2hi]."""
-        codes = self._codes.get(predicate)
-        if codes is None:
-            if predicate not in self._spans:
-                return []
-            los, his = self._spans[predicate]
-            codes = self._codes[predicate] = fuse_runs(
-                sorted(zip([2 * lo for lo in los], [2 * hi for hi in his])))
-        return codes
+        los, his = self.spans(predicate)
+        return fuse_runs(sorted(zip([2 * lo for lo in los], [2 * hi for hi in his])))
 
     def spans(self, predicate: str) -> tuple[Sequence[int], Sequence[int]]:
         """The ends of predicate's facts times scale, as the lists (los,
@@ -166,12 +157,17 @@ class Trace:
 
 def _ends(a: str, b: Optional[str], c: str, d: Optional[str], lineno: int):
     """The matched span [a/b, c/d] as ints (p, q, r, s), q and s positive."""
-    q = 1 if b is None else int(b)
-    s = 1 if d is None else int(d)
+    try:
+        p, r = int(a), int(c)
+        q = 1 if b is None else int(b)
+        s = 1 if d is None else int(d)
+    except ValueError:  # only a number past the int conversion limit gets here
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"number longer than {limit} digits", lineno) from None
     if not (q and s):
         bad = a + "/" + b if not q else c + "/" + d
         raise ParseError(f"zero denominator in {bad!r}", lineno)
-    return int(a), q, int(c), s
+    return p, q, r, s
 
 
 def parse_trace(text: str) -> Trace:
@@ -179,7 +175,6 @@ def parse_trace(text: str) -> Trace:
     # per predicate, each fact's ends as (p, q, r, s) for [p/q, r/s]
     raw: dict[str, list[tuple[int, int, int, int]]] = {}
     order: list[str] = []
-    dens: set[int] = set()
     fact_match = _FACT_RE.match
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -221,25 +216,10 @@ def parse_trace(text: str) -> Trace:
             group = raw[name] = []
         group.append((p, q, r, s))
         order.append(name)
-        dens.add(q)
-        dens.add(s)
     if horizon is None:
         raise MissingHorizonError("trace declares no horizon")
-    scale = math.lcm(h_lo_den, h_hi_den, *dens)
-    factor = {den: scale // den for den in dens}
-    spans = {
-        name: ([p * factor[q] for p, q, _, _ in group], [r * factor[s] for _, _, r, s in group])
-        for name, group in raw.items()
-    }
-    # unreduced ends such as 2/4 leave a common factor in scale: divide it out
-    ends = [e for pair in spans.values() for e in pair]
-    surplus = math.gcd(scale // math.lcm(h_lo_den, h_hi_den), *(math.gcd(*e) for e in ends))
-    if surplus > 1:
-        scale //= surplus
-        for e in ends:
-            e[:] = [v // surplus for v in e]
     tr = Trace.__new__(Trace)
-    tr._build(horizon, scale, spans, order, None)
+    tr._build(horizon, raw, order)
     return tr
 
 

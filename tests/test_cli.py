@@ -127,6 +127,7 @@ class TestRewrite:
         ("rewrite", "--mode", "mitl", "--kappa", "1e0", "bplus[1,2] p"),
         ("rewrite", "--mode", "mitl", "--lambda", " 4/1 ", "bplus[1,2] p"),
         ("rewrite", "--mode", "mitl", "--kappa", "1/0", "bplus[1,2] p"),
+        ("rewrite", "--mode", "mitl", "--kappa", "1" * 5000, "bplus[1,2] p"),
         ("check", "--mode", "mitl", "--kappa", "1.5", "--trials", "1"),
         ("check", "--mode", "punctual", "--bound-max", "1e0", "--trials", "1"),
         ("check", "--mode", "punctual", "--horizon-length", "40.0", "--trials", "1"),
@@ -136,6 +137,7 @@ class TestRewrite:
         "kappa-exponent",
         "lambda-spaces",
         "kappa-zero-denominator",
+        "kappa-past-int-conversion-limit",
         "check-kappa-decimal",
         "bound-max-exponent",
         "horizon-decimal",

@@ -1,6 +1,6 @@
-"""Fuzzing the input boundary: arbitrary text and bytes must end in a
-`BmtlError` from the parsers and in a documented exit code from the CLI,
-never in a traceback or in exit 6 (an internal error).
+"""Fuzzing the input boundary: arbitrary text, bytes and argv must end in
+a `BmtlError` from the parsers and in a documented exit code from the
+CLI, never in a traceback or in exit 6 (an internal error).
 
 `check` is left out: arbitrary argv could start long campaigns.
 """
@@ -9,7 +9,7 @@ import contextlib
 import io
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import bmtl.cli as cli
 from bmtl.errors import BmtlError
@@ -85,3 +85,44 @@ def test_eval_ends_in_a_documented_exit_code(trace_path, data, formula):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(["eval", "--trace", str(trace_path), "--", formula])
     assert code in (cli.EXIT_OK, cli.EXIT_SYNTAX, cli.EXIT_IO), err.getvalue()
+
+
+_SUBCOMMANDS = ("parse", "rewrite", "census", "eval")
+_FLAGS = ("--mode", "--kappa", "--lambda", "--report", "--json", "--file", "--trace")
+_RATIONALS = ("0", "1", "-1", "1/2", "3/4", "-2/3", "1/0", "99999999999999999999", "1" * 5000)
+# stand-ins for the paths of a valid trace file and of a missing file
+_PATHS = ("<trace>", "<missing>")
+
+argvs = st.tuples(
+    st.sampled_from(_SUBCOMMANDS),
+    st.lists(
+        st.one_of(
+            st.sampled_from(_SUBCOMMANDS + _FLAGS + ("punctual", "mitl") + _RATIONALS + _PATHS),
+            formulas,
+            st.text(),
+        ),
+        max_size=8,
+    ),
+).map(lambda t: [t[0], *t[1]])
+
+
+@pytest.fixture(scope="module")
+def argv_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    (root / "trace.txt").write_text("horizon [-5,15]\np @ [0,4]\nq @ [3,6]\n")
+    return dict(zip(_PATHS, (str(root / "trace.txt"), str(root / "missing.txt"))))
+
+
+@settings(max_examples=200)
+@given(argvs)
+@example(["parse", "--file", "a\x00b"])
+@example(["eval", "--trace", "a\x00b", "p"])
+def test_argv_ends_in_a_documented_exit_code(argv_paths, argv):
+    argv = [argv_paths.get(arg, arg) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse: usage errors and --help
+            code = e.code
+    assert code in (cli.EXIT_OK, cli.EXIT_SYNTAX, cli.EXIT_REWRITE, cli.EXIT_IO), err.getvalue()

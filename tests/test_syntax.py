@@ -1,6 +1,7 @@
 """Formula AST: bounds, printing, parsing round-trips, census, scope."""
 
 import math
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -135,6 +136,14 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_formula("(" * 3000 + "p" + ")" * 3000)
         assert (exc.value.line, exc.value.column) == (1, MAX_PAREN_DEPTH + 1)
+
+    @pytest.mark.parametrize("bound,column", [("[{n},{n}]", 7), ("[1,1/{n}]", 11)])
+    def test_number_past_the_int_conversion_limit_is_a_parse_error(self, bound, column):
+        limit = sys.get_int_max_str_digits()
+        n = "1" * (limit + 1)
+        with pytest.raises(ParseError, match=f"number longer than {limit} digits") as exc:
+            parse_formula("bplus" + bound.format(n=n) + " p")
+        assert (exc.value.line, exc.value.column) == (1, column)
 
 
 class TestStructure:

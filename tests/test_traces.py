@@ -1,6 +1,7 @@
 """Trace model and text format."""
 
 import re
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -15,6 +16,7 @@ from bmtl.errors import (
 )
 from bmtl.evaluate import eval_truth_set
 from bmtl.intervals import Interval, coalesce
+from bmtl.syntax import Pred
 from bmtl.traces import Fact, Trace, format_trace, parse_trace
 from conftest import bounds_st, formulas_st, traces_st
 
@@ -125,6 +127,17 @@ class TestTextFormat:
     def test_zero_denominator_reports_line(self, text, line):
         with pytest.raises(ParseError, match="zero denominator in '1/0'") as exc:
             parse_trace(text)
+        assert exc.value.line == line
+
+    @pytest.mark.parametrize("text,line", [
+        ("horizon [0,{n}]\n", 1),
+        ("horizon [0,10]\np @ [1,{n}]\n", 2),
+        ("horizon [0,10]\np @ [1/{n},2]\n", 2),
+    ])
+    def test_number_past_the_int_conversion_limit_reports_line(self, text, line):
+        limit = sys.get_int_max_str_digits()
+        with pytest.raises(ParseError, match=f"number longer than {limit} digits") as exc:
+            parse_trace(text.format(n="9" * (limit + 1)))
         assert exc.value.line == line
 
     @given(traces_st())
@@ -391,10 +404,20 @@ class TestIntegerIngest:
         assert tr.truth_base("p") == coalesce([Interval(F(1, 3), F(9, 4))])
         assert tr.codes("q") == []
 
+    def test_codes_are_the_callers_to_mutate(self):
+        tr = parse_trace("horizon [0,10]\np @ [1,2]\np @ [4,5]\n")
+        codes = tr.codes("p")
+        want = list(codes)
+        codes[:] = [0, 20]
+        assert tr.codes("p") == want
+        assert eval_truth_set(Pred("p"), tr) == coalesce(
+            [Interval(F(1), F(2)), Interval(F(4), F(5))])
+
     @settings(max_examples=150)
     @given(traces_st(max_facts=8), formulas_st(max_depth=3, allow_not=True, bounds=bounds_st()))
     def test_parsed_and_fact_built_traces_evaluate_alike(self, tr, f):
         parsed = parse_trace(format_trace(tr))
         built = Trace(parsed.horizon, parsed.facts)
         assert parsed == built == tr
+        assert hash(parsed) == hash(built)
         assert eval_truth_set(f, parsed) == eval_truth_set(f, built) == eval_truth_set(f, tr)
