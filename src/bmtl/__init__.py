@@ -20,6 +20,7 @@ from .errors import (
     NumpyMissingError,
     OracleGridError,
     OracleGridRangeError,
+    OutputTooLargeError,
     ParseError,
     PointOutsideHorizonError,
     RewriteError,

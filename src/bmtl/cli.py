@@ -2,11 +2,12 @@
 
 Subcommands: parse, rewrite, eval, census, check.  Machine-readable
 output goes to stdout, diagnostics to stderr.  Exit codes: 0 success
-(and campaigns with zero failures), 1 campaign failures, 2 syntax
-errors and invalid campaign settings (including an oracle grid too large
-to build), 3 rewrite precondition violations, 4 I/O errors (including
-files that are not UTF-8), 5 a campaign that compared no trial, 6 an
-internal error (an exception that is not a BmtlError: a fault in bmtl).
+(and campaigns with zero failures), 1 campaign failures, 2 syntax errors,
+invalid campaign settings (including an oracle grid too large to build)
+and output too large to print, 3 rewrite precondition violations, 4 I/O
+errors (including files that are not UTF-8), 5 a campaign that compared
+no trial, 6 an internal error (an exception that is not a BmtlError: a
+fault in bmtl).
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ import sys
 from fractions import Fraction
 from typing import Optional
 
-from .errors import BmtlError, RewriteError
+from .errors import BmtlError, OutputTooLargeError, RewriteError
 from .evaluate import eval_truth_set, reliable_region
 from .harness import MAX_DEPTH_CAP, GenConfig, run_campaign
-from .intervals import Interval, IntervalSet
+from .intervals import Interval
 from .parser import parse_formula
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
 from .syntax import Formula, census, print_formula, s_expression
@@ -50,17 +51,22 @@ def _fraction_arg(text: str) -> Fraction:
     raise argparse.ArgumentTypeError(f"not a rational n or n/d: {text!r}")
 
 
+def _text(x) -> str:
+    """str(x); a number past the int conversion limit is too large to print."""
+    try:
+        return str(x)
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise OutputTooLargeError(f"a number to print has more than {limit} digits") from None
+
+
 def _interval_json(p: Interval) -> dict:
     return {
-        "lo": str(p.lo),
-        "hi": str(p.hi),
+        "lo": _text(p.lo),
+        "hi": _text(p.hi),
         "lo_closed": p.lo_closed,
         "hi_closed": p.hi_closed,
     }
-
-
-def _set_json(s: IntervalSet) -> list[dict]:
-    return [_interval_json(p) for p in s.parts]
 
 
 def _fail(message: str, exit_code: int) -> int:
@@ -125,15 +131,9 @@ def _cmd_rewrite(ns) -> int:
         payload = {"formula": print_formula(report.output)}
         if ns.report:
             payload["applied"] = [
-                {
-                    "rule": app.rule,
-                    "path": list(app.path),
-                    **(
-                        {"kappa": str(app.kappa), "lambda": str(app.lam)}
-                        if app.kappa is not None
-                        else {}
-                    ),
-                }
+                {"rule": app.rule, "path": list(app.path)}
+                | ({"kappa": str(app.kappa), "lambda": str(app.lam)}
+                   if app.kappa is not None else {})
                 for app in report.applied
             ]
         print(json.dumps(payload))
@@ -142,9 +142,7 @@ def _cmd_rewrite(ns) -> int:
         if ns.report:
             for app in report.applied:
                 where = ".".join(str(i) for i in app.path) or "root"
-                extra = (
-                    f" kappa={app.kappa} lambda={app.lam}" if app.kappa is not None else ""
-                )
+                extra = f" kappa={app.kappa} lambda={app.lam}" if app.kappa is not None else ""
                 print(f"applied {app.rule} at {where}{extra}")
     return EXIT_OK
 
@@ -155,17 +153,11 @@ def _cmd_eval(ns) -> int:
     truth = eval_truth_set(f, tr)
     region = reliable_region(f, tr)
     if ns.json:
-        print(
-            json.dumps(
-                {
-                    "truth": _set_json(truth),
-                    "reliable": _interval_json(region) if region is not None else None,
-                }
-            )
-        )
+        reliable = _interval_json(region) if region is not None else None
+        print(json.dumps({"truth": [_interval_json(p) for p in truth], "reliable": reliable}))
     else:
-        print(f"truth: {truth}")
-        print(f"reliable: {region if region is not None else 'empty'}")
+        print(f"truth: {_text(truth)}")
+        print(f"reliable: {_text(region) if region is not None else 'empty'}")
     return EXIT_OK
 
 
@@ -173,15 +165,7 @@ def _cmd_census(ns) -> int:
     f = _load_formula(ns)
     c = census(f)
     if ns.json:
-        print(
-            json.dumps(
-                {
-                    "counts": dict(sorted(c.counts.items())),
-                    "has_singleton_bound": c.has_singleton_bound,
-                    "max_depth": c.max_depth,
-                }
-            )
-        )
+        print(json.dumps({**c._asdict(), "counts": dict(sorted(c.counts.items()))}))
     else:
         for name in sorted(c.counts):
             print(f"{name}: {c.counts[name]}")

@@ -37,6 +37,10 @@ class FactOutsideHorizonError(ParseError):
     code = "FACT_OUTSIDE_HORIZON"
 
 
+class OutputTooLargeError(BmtlError):
+    code = "OUTPUT_TOO_LARGE"
+
+
 class ConfigError(BmtlError, ValueError):
     """Campaign settings out of range (negative trial count, zero bound, ...)."""
 

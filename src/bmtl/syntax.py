@@ -9,29 +9,29 @@ measuring distance from the evaluation point:
   bminus -- everywhere within [t-hi, t-lo]
   U / S  -- until / since with the witness constrained to the window
 
-All nodes are frozen dataclasses, so structural equality and hashing
-come for free and subtrees can be shared safely.
-
-NODE_TABLE describes each node class once: its kind name (census, the
-generators), its keyword in the concrete syntax, its operand fields and
-whether it carries a bound, which always sits just before the last
-operand.  Child access, rebuilding, both printers, the parser and the
-generators read it.  fold(f, step) is the one traversal: iterative and
-post-order, it calls step(node, operand results) once per distinct node
-object, with a memo keyed by identity, so no subtree is hashed and depth
-is bounded only by memory.  The evaluator, the oracle and the analyses
-here run on it, each dispatching through a dict keyed by node class;
-scope(f), f's reach and bound scale, is the one analysis of its bounds.
+NODE_TABLE describes each node class once and builds it: the class name,
+the kind name (census, the generators), the keyword in the concrete
+syntax and the fields in order; a bound always sits just before the last
+operand.  Nodes are hash-consed: structurally equal formulas are one
+object, so == is identity and the box body the mitl rule copies into two
+conjuncts is one shared subtree.  Child access, rebuilding, both
+printers, the parser and the generators read the table.  fold(f, step)
+is the one traversal: iterative and post-order, it calls step(node,
+operand results) once per distinct node, so depth is bounded only by
+memory.  The evaluator, the oracle and the analyses here run on it, each
+dispatching through a dict keyed by node class; scope(f), f's reach and
+bound scale, is the one analysis of its bounds.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
-from .errors import InvertedBoundError, NegativeBoundError
+from .errors import InvertedBoundError, NegativeBoundError, OutputTooLargeError
 from .intervals import rat
 
 
@@ -57,79 +57,75 @@ class Bound:
 
 
 class Formula:
-    """Base class; concrete nodes are the dataclasses below."""
+    """Base of the node classes NODE_TABLE makes.  A weak-value unique
+    table maps each node's key (its class, the id() of each operand, a
+    predicate's name, a bound's four ints) to the one live node with it,
+    so == and hash are identity, O(1) at any depth, and a copy, a deep
+    copy or an unpickled node is the interned node."""
 
-    __slots__ = ()
+    __slots__ = ("__weakref__", "_operands")
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
 
-@dataclass(frozen=True)
-class Pred(Formula):
-    name: str
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, name) for name in self._fields])
 
+    def __deepcopy__(self, memo):
+        return self
 
-@dataclass(frozen=True)
-class Top(Formula):
-    pass
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    body: Formula
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    left: Formula
-    right: Formula
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class BoxPlus(Formula):
-    bound: Bound
-    body: Formula
+_UNIQUE: dict = {}  # node key -> weakref.KeyedRef to the live node with that key
 
 
-@dataclass(frozen=True)
-class BoxMinus(Formula):
-    bound: Bound
-    body: Formula
+def _forget(ref: weakref.KeyedRef, unique: dict = _UNIQUE) -> None:
+    # runs as the node dies, before its operands (whose ids are in the key) can
+    if unique.get(ref.key) is ref:
+        del unique[ref.key]
 
 
-@dataclass(frozen=True)
-class DiaPlus(Formula):
-    bound: Bound
-    body: Formula
+def _node_class(name: str, fields: tuple[str, ...]) -> type:
+    """A slots class with these fields, and its operands in order as one
+    tuple, whose constructor interns its nodes."""
+    bounded, named = "bound" in fields, fields == ("name",)
+
+    def __new__(cls, *args):
+        if len(args) != len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments ({len(args)} given)")
+        if bounded:
+            kids = (*args[:-2], args[-1])
+            lo, hi = args[-2].lo, args[-2].hi
+            key = (cls, lo.numerator, lo.denominator, hi.numerator, hi.denominator, *map(id, kids))
+        else:
+            kids = () if named else args
+            key = (cls, *args) if named else (cls, *map(id, args))
+        ref = _UNIQUE.get(key)
+        node = ref() if ref is not None else None
+        if node is None:
+            node = object.__new__(cls)
+            object.__setattr__(node, "_operands", kids)
+            for field, value in zip(fields, args):
+                object.__setattr__(node, field, value)
+            _UNIQUE[key] = weakref.KeyedRef(node, _forget, key)
+        return node
+
+    return type(name, (Formula,), {"__slots__": fields, "_fields": fields, "__new__": __new__})
 
 
-@dataclass(frozen=True)
-class DiaMinus(Formula):
-    bound: Bound
-    body: Formula
-
-
-@dataclass(frozen=True)
-class Since(Formula):
-    left: Formula
-    bound: Bound
-    right: Formula
-
-
-@dataclass(frozen=True)
-class Until(Formula):
-    left: Formula
-    bound: Bound
-    right: Formula
-
-
-@dataclass(frozen=True)
 class Kind:
-    """One row of the node table."""
+    """One row of the node table: the node class built from its fields,
+    the kind name, the keyword (None for predicates, which print as their
+    name), the operand fields and whether a bound sits before the last."""
 
-    cls: type
-    name: str
-    keyword: Optional[str]  # None for predicates, which print as their name
-    children: tuple[str, ...] = ()
-    bounded: bool = False
+    def __init__(self, class_name: str, name: str, keyword: Optional[str], fields=()):
+        self.cls = _node_class(class_name, fields)
+        self.name, self.keyword = name, keyword
+        self.children = tuple(f for f in fields if f not in ("name", "bound"))
+        self.bounded = "bound" in fields
 
     def make(self, kids: Sequence[Formula], bound: Optional[Bound] = None) -> Formula:
         """A node of this kind from its operands in order and its bound."""
@@ -139,30 +135,32 @@ class Kind:
 
 
 NODE_TABLE = (
-    Kind(Pred, "pred", None),
-    Kind(Top, "top", "true"),
-    Kind(Not, "not", "!", ("body",)),
-    Kind(And, "and", "&", ("left", "right")),
-    Kind(BoxPlus, "bplus", "bplus", ("body",), bounded=True),
-    Kind(BoxMinus, "bminus", "bminus", ("body",), bounded=True),
-    Kind(DiaPlus, "dplus", "dplus", ("body",), bounded=True),
-    Kind(DiaMinus, "dminus", "dminus", ("body",), bounded=True),
-    Kind(Since, "since", "S", ("left", "right"), bounded=True),
-    Kind(Until, "until", "U", ("left", "right"), bounded=True),
+    Kind("Pred", "pred", None, ("name",)),
+    Kind("Top", "top", "true"),
+    Kind("Not", "not", "!", ("body",)),
+    Kind("And", "and", "&", ("left", "right")),
+    Kind("BoxPlus", "bplus", "bplus", ("bound", "body")),
+    Kind("BoxMinus", "bminus", "bminus", ("bound", "body")),
+    Kind("DiaPlus", "dplus", "dplus", ("bound", "body")),
+    Kind("DiaMinus", "dminus", "dminus", ("bound", "body")),
+    Kind("Since", "since", "S", ("left", "bound", "right")),
+    Kind("Until", "until", "U", ("left", "bound", "right")),
 )
+Pred, Top, Not, And, BoxPlus, BoxMinus, DiaPlus, DiaMinus, Since, Until = (
+    k.cls for k in NODE_TABLE)
 KINDS = {k.cls: k for k in NODE_TABLE}
 KINDS_BY_NAME = {k.name: k for k in NODE_TABLE}
 
 
 def children(f: Formula) -> tuple[Formula, ...]:
-    return tuple([getattr(f, name) for name in KINDS[type(f)].children])
+    return f._operands
 
 
 def replace_children(f: Formula, new: tuple[Formula, ...]) -> Formula:
-    kind = KINDS[type(f)]
-    if not kind.children:
+    """f with these operands: f itself when each is the one it has."""
+    if new == children(f):  # node == is identity
         return f
-    return kind.make(new, f.bound if kind.bounded else None)
+    return KINDS[type(f)].make(new, getattr(f, "bound", None))
 
 
 def fold(f: Formula, step: Callable[[Formula, list], object]):
@@ -178,7 +176,7 @@ def fold(f: Formula, step: Callable[[Formula, list], object]):
         if kids is not None:
             memo[id(node)] = step(node, [memo[id(k)] for k in kids])
         elif id(node) not in memo:
-            kids = children(node)
+            kids = node._operands
             todo.append((node, kids))
             for k in reversed(kids):
                 if id(k) not in memo:
@@ -186,8 +184,24 @@ def fold(f: Formula, step: Callable[[Formula, list], object]):
     return memo[id(f)]
 
 
+# longest text either printer produces; a shared subtree prints once per
+# occurrence, so a formula's text can double with each level of sharing
+MAX_PRINTED_CHARS = 1_000_000
+
+
 def _render(f: Formula, pieces: Callable[[Formula, Kind, tuple], list]) -> str:
-    """Join the text pieces of every node; a piece is a string or an operand."""
+    """Join the text pieces of every node; a piece is a string or an operand.
+
+    The length is folded first, over distinct nodes, with the operands'
+    lengths in their place: text over MAX_PRINTED_CHARS is refused.
+    """
+
+    def length(node: Formula, kids: list) -> int:
+        n = sum(p if type(p) is int else len(p) for p in pieces(node, KINDS[type(node)], kids))
+        return min(n, MAX_PRINTED_CHARS + 1)
+
+    if fold(f, length) > MAX_PRINTED_CHARS:
+        raise OutputTooLargeError(f"formula text longer than {MAX_PRINTED_CHARS:,} characters")
     out: list[str] = []
     todo: list = [f]
     while todo:
@@ -233,8 +247,7 @@ def s_expression(f: Formula) -> str:
     return _render(f, _s_expression_pieces)
 
 
-@dataclass(frozen=True, eq=True)
-class Census:
+class Census(NamedTuple):
     counts: dict[str, int]
     has_singleton_bound: bool = False
     max_depth: int = 0
@@ -267,8 +280,7 @@ def census(f: Formula) -> Census:
             depth = max(depth, sub_depth + 1)
         return counts, singleton, depth
 
-    counts, singleton, depth = fold(f, step)
-    return Census(counts=counts, has_singleton_bound=singleton, max_depth=depth)
+    return Census(*fold(f, step))
 
 
 def is_negation_free(f: Formula) -> bool:
@@ -280,8 +292,7 @@ _LOOKS_TOWARD = {DiaMinus: 0, BoxMinus: 0, Since: 0, DiaPlus: 1, BoxPlus: 1, Unt
 _NO_SCOPE = (0, 0, 1)
 
 
-@dataclass(frozen=True)
-class Scope:
+class Scope(NamedTuple):
     """How far a formula looks and how finely its bounds cut time.
 
     Truth at t is determined by trace content within

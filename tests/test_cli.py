@@ -1,6 +1,7 @@
 """Command-line contract: subcommands, exit codes, output stability."""
 
 import json
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -111,6 +112,14 @@ class TestRewrite:
             capsys, "rewrite", "--mode", "punctual", "--kappa", "1", "bplus[1,3] p"
         )
         assert code == 2
+
+    def test_oversized_output_exits_2(self, capsys):
+        # each singleton-free box shares its body between two conjuncts:
+        # the 30-deep chain's text would have billions of characters
+        code, out, err = run(capsys, "rewrite", "--mode", "mitl", "bplus[1,2] " * 30 + "p")
+        assert code == 2
+        assert out == ""
+        assert err == "error: [OUTPUT_TOO_LARGE] formula text longer than 1,000,000 characters\n"
 
     def test_fractional_slack_parses(self, capsys):
         code, out, _ = run(
@@ -231,6 +240,19 @@ class TestEval:
         assert code == cli.EXIT_INTERNAL == 6
         assert out == ""
         assert err == "internal error: ValueError: kernel invariant broken\n"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_end_past_the_int_conversion_limit_exits_2(self, capsys, tmp_path, json_flag):
+        # each input number has 3,000 digits; the truth set's ends have
+        # about 6,000, past what str() of an int converts
+        path = tmp_path / "fine.txt"
+        path.write_text(f"horizon [-5,10]\np @ [1/{'7' * 3000},1]\n")
+        formula = f"dminus[1/3{'1' * 2999},2] p"
+        code, out, err = run(capsys, "eval", *json_flag, "--trace", str(path), formula)
+        assert code == 2
+        assert out == ""
+        limit = sys.get_int_max_str_digits()
+        assert err == f"error: [OUTPUT_TOO_LARGE] a number to print has more than {limit} digits\n"
 
     def test_empty_reliable_region_is_null(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"

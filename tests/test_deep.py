@@ -1,20 +1,23 @@
 """Formulas nested far beyond the interpreter's recursion limit.
 
-The chains are built through the API, bottom-up, and never compared with
-== or hashed: dataclass equality itself recurses.  Their rule logs are:
-a RuleApplication compares by its path, spelled out flat.
+The chains are built through the API, bottom-up.  Nodes are interned,
+so == and hash are identity and work at any depth.  Rule logs compare
+too: a RuleApplication compares by its path, spelled out flat.
 """
 
 import copy
 import pickle
+import time
 import tracemalloc
 from fractions import Fraction as F
 from functools import reduce
 
 import pytest
 
+from bmtl.errors import OutputTooLargeError
 from bmtl.evaluate import eval_truth_set
 from bmtl.oracle import oracle_eval_many
+from bmtl.parser import parse_formula
 from bmtl.rewrite import Punctual, SingletonFree, apply_rule_at, normalize
 from bmtl.syntax import (
     KINDS_BY_NAME,
@@ -71,6 +74,20 @@ def test_printers_and_analyses():
     assert scope(f) == Scope(F(0), F(0), 1)
     temporal = sum(per_kind(OPERATORS, k) for k in OPERATORS if k not in ("not", "and"))
     assert temporal_nesting(f) == temporal
+
+
+def test_interned_at_any_depth():
+    f, g = chain(OPERATORS), chain(OPERATORS)
+    assert f is g
+    assert f == g
+    assert hash(f) == hash(g) == hash(chain(OPERATORS))
+    assert f != chain(OPERATORS, depth=DEPTH - 1)
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    f = chain(OPERATORS, depth=20)
+    for twin in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+        assert twin is f
 
 
 def test_evaluator_agrees_with_oracle():
@@ -147,10 +164,26 @@ def test_deep_application_pickles_and_copies(mode, box_bound, rules_per_box):
 
 
 def test_replay_of_a_deep_log():
-    # punctual only: a singleton-free box shares its body between two
-    # diamonds, so printing a deep mitl output takes exponential time
-    f = chain(REWRITE_OPERATORS, side=REWRITE_SIDE, depth=300)
-    report = normalize(f, Punctual())
-    assert max(len(app.path) for app in report.applied) > 300 - len(REWRITE_OPERATORS)
-    replayed = reduce(apply_rule_at, report.applied, f)
-    assert print_formula(replayed) == print_formula(report.output)
+    for mode, box_bound, _ in MODES:
+        f = chain(REWRITE_OPERATORS, box_bound, REWRITE_SIDE, depth=300)
+        report = normalize(f, mode)
+        assert max(len(app.path) for app in report.applied) > 300 - len(REWRITE_OPERATORS)
+        assert reduce(apply_rule_at, report.applied, f) is report.output
+
+
+def test_printed_rewrite_parses_back_to_the_same_node():
+    # 100 levels keep the printed parentheses within the parser's cap
+    out = normalize(chain(REWRITE_OPERATORS, side=REWRITE_SIDE, depth=100), Punctual()).output
+    assert parse_formula(print_formula(out)) is out
+
+
+def test_oversized_mitl_text_is_refused_quickly():
+    # each singleton-free box puts its body into both conjuncts: 30 boxes
+    # share 152 distinct nodes but would print billions of characters
+    out = normalize(chain(("bplus",), Bound(F(1), F(2)), depth=30), SingletonFree()).output
+    started = time.monotonic()
+    with pytest.raises(OutputTooLargeError):
+        print_formula(out)
+    with pytest.raises(OutputTooLargeError):
+        s_expression(out)
+    assert time.monotonic() - started < 1

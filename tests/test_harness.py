@@ -1,5 +1,6 @@
 """Campaign harness: determinism, generators, verdicts, accounting."""
 
+import gc
 import json
 from fractions import Fraction as F
 
@@ -162,6 +163,13 @@ class TestCampaigns:
         assert report.empty_regions > 0
         assert report.trials == report.passes + len(report.failures)
         assert report.trials + report.empty_regions == 30
+
+    def test_campaign_leaves_no_interned_nodes_behind(self):
+        gc.collect()
+        before = len(syntax_module._UNIQUE)
+        run_campaign(GenConfig(seed=9, trials=30), SingletonFree())
+        gc.collect()
+        assert len(syntax_module._UNIQUE) == before
 
     def test_report_json_keys_are_stable(self):
         report = run_campaign(GenConfig(seed=3, trials=2), Punctual())

@@ -149,7 +149,7 @@ class TestParseErrors:
 class TestStructure:
     @given(formulas_st(max_depth=4, allow_not=True))
     def test_replace_children_identity(self, f):
-        assert replace_children(f, children(f)) == f
+        assert replace_children(f, children(f)) is f
 
     @given(formulas_st(max_depth=3))
     def test_generated_formulas_negation_free(self, f):
@@ -173,7 +173,36 @@ class TestStructure:
         assert (s.past, s.future) == (F(0), sum(F(1, i) for i in range(1, 61)))
 
 
+class TestInterning:
+    def test_equal_nodes_are_one_object(self):
+        built = Since(Pred("p"), Bound(F(1, 2), F(1)), Top())
+        assert Since(Pred("p"), Bound(F(2, 4), 1), Top()) is built
+        assert parse_formula("(p S[2/4,1] true)") is built
+        assert Since(Pred("p"), Bound(F(1, 2), F(2)), Top()) is not built
+        assert Until(Pred("p"), Bound(F(1, 2), F(1)), Top()) is not built
+
+    def test_rebuilding_a_node_with_a_new_operand(self):
+        f = And(Pred("p"), Pred("q"))
+        assert replace_children(f, (Pred("p"), Pred("r"))) is And(Pred("p"), Pred("r"))
+
+    def test_nodes_are_immutable(self):
+        with pytest.raises(AttributeError):
+            Pred("p").name = "q"
+
+    def test_arity_is_checked(self):
+        with pytest.raises(TypeError):
+            Not(Pred("p"), Pred("q"))
+
+    def test_repr_names_the_fields(self):
+        assert repr(Not(Pred("p"))) == "Not(body=Pred(name='p'))"
+
+
 class TestCensus:
+    def test_shared_leaf_counts_per_occurrence(self):
+        f = parse_formula("(p & p)")
+        assert f.left is f.right
+        assert census(f).counts == {"and": 1, "pred": 2}
+
     def test_counts_and_depth(self):
         f = BoxPlus(Bound(F(1), F(3)), And(Pred("p"), Pred("q")))
         c = census(f)
