@@ -11,7 +11,6 @@ from .errors import (
     DegenerateBoundError,
     FactOutsideHorizonError,
     InvertedBoundError,
-    MemberOutsideUniverseError,
     MissingHorizonError,
     MitlPreconditionError,
     NegativeBoundError,

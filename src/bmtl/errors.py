@@ -55,10 +55,6 @@ class InvertedBoundError(BmtlError):
     code = "INVERTED_BOUND"
 
 
-class MemberOutsideUniverseError(BmtlError):
-    code = "MEMBER_OUTSIDE_UNIVERSE"
-
-
 class PointOutsideHorizonError(BmtlError):
     code = "POINT_OUTSIDE_HORIZON"
 

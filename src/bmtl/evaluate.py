@@ -32,21 +32,24 @@ first and last atoms of each of its parts.  A trace keeps its facts'
 ends as ints at its own scale, the lcm of its horizon's and facts'
 denominators, and fuses a predicate's truth base into codes at that
 scale when read (see :mod:`bmtl.traces`).  At entry, L is the lcm of
-that scale and of the formula's bound scale (see syntax.scope); each
+that scale, of the formula's bound scale (see syntax.scope) and of the
+denominators of the region ``within`` when a caller gives one; each
 base the formula reads is read from the trace once and taken as it
 is, or times the integer L / scale when the bounds add a denominator,
 and the horizon and each bound are coded at L once.  Every clause is
 then a kernel sweep over ints: shifting time by a bound endpoint b adds
 2bL to a code, so no endpoint flag, Fraction or object is touched until
-the result is decoded once at exit into an IntervalSet with Fraction
-ends.  This is exact: each clause only compares codes and adds shifts
-to them, so it commutes with scaling all of time by L > 0, and no
-rounding and no float enters.  The rescaled copies live only for the one call.
+the result, intersected with ``within``'s codes if given, is decoded
+once at exit into an IntervalSet with Fraction ends.  This is exact:
+each clause only compares codes and adds shifts to them, so it commutes
+with scaling all of time by L > 0, and no rounding and no float enters.
+The rescaled copies live only for the one call.
 
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
 reliable region, where no window reaches past the ends of the horizon,
-the result agrees with evaluation over any extension of the trace.
+the result agrees with evaluation over any extension of the trace, so
+a comparison passes that region as ``within``.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from .intervals import (
     IntervalSet,
     complement_codes,
     decode,
+    encode,
     intersect_codes,
     scaled_value,
     shift_codes,
@@ -96,25 +100,32 @@ _CLAUSES = {
 }
 
 
-def eval_truth_set(f: Formula, tr: Trace) -> IntervalSet:
-    t = _IntegerTime(f, tr)
-    return decode(fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, t)), t.scale)
+def eval_truth_set(f: Formula, tr: Trace, within: Optional[Interval] = None) -> IntervalSet:
+    """The truth set of f on tr, or its points in within when given."""
+    t = _IntegerTime(f, tr, within)
+    codes = fold(f, lambda node, kids: _CLAUSES[type(node)](node, kids, t))
+    if within is not None:
+        codes = intersect_codes(codes, encode((within,), t.scale))
+    return decode(codes, t.scale)
 
 
 class _IntegerTime:
     """The horizon and the truth bases f reads, as codes in integer time.
 
-    scale is the lcm of the trace's scale and of f's bound scale (see
-    ``scope``), so a multiple of the trace's scale: a base the trace
-    fuses into codes at its scale is taken as it is when the two scales
-    agree, and times their integer ratio otherwise.  ``of`` codes a shift by a
-    bound endpoint.  A per-call temporary: nothing it rescales outlives
-    the evaluation.
+    scale is the lcm of the trace's scale, of f's bound scale (see
+    ``scope``) and of the denominators of within's ends, if any, so a
+    multiple of the trace's scale: a base the trace fuses into codes at
+    its scale is taken as it is when the two scales agree, and times
+    their integer ratio otherwise.  ``of`` codes a shift by a bound
+    endpoint.  A per-call temporary: nothing it rescales outlives the
+    evaluation.
     """
 
-    def __init__(self, f: Formula, tr: Trace):
+    def __init__(self, f: Formula, tr: Trace, within: Optional[Interval]):
         self.tr = tr
         self.scale = math.lcm(tr.scale, scope(f).scale)
+        if within is not None:
+            self.scale = math.lcm(self.scale, within.lo.denominator, within.hi.denominator)
         self.factor = self.scale // tr.scale
         self.horizon = [self.of(tr.horizon.lo), self.of(tr.horizon.hi)]
         self._bases: dict[str, list[int]] = {}

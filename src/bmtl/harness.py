@@ -22,6 +22,7 @@ actually ran.
 from __future__ import annotations
 
 import random
+import re
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -29,11 +30,11 @@ from typing import Optional
 
 from .errors import ConfigError
 from .evaluate import combined_reliable_region, eval_truth_set
-from .intervals import Interval, IntervalSet, from_interval, rat
+from .intervals import Interval, IntervalSet, rat
 from .oracle import oracle_first_difference
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
-from .syntax import KINDS_BY_NAME, Bound, BoxMinus, BoxPlus, Formula, Pred, print_formula
-from .traces import Fact, Trace, format_trace
+from .syntax import KINDS_BY_NAME, And, Bound, BoxMinus, BoxPlus, Formula, Not, Pred, print_formula
+from .traces import NAME, Fact, Trace, format_trace
 
 _MASK = (1 << 64) - 1
 
@@ -90,6 +91,19 @@ class GenConfig:
             raise ConfigError("bound_max and horizon_length must be positive")
         if not self.predicate_pool:
             raise ConfigError("predicate pool must not be empty")
+        keywords = {k.keyword for k in KINDS_BY_NAME.values()}
+        for name in self.predicate_pool:  # each must print as text that parses back to it
+            if not (isinstance(name, str) and re.fullmatch(NAME, name)) or name in keywords:
+                raise ConfigError(f"predicate name {name!r} is not an identifier or is a keyword")
+
+
+def _least_denominator(cfg: GenConfig, count: int) -> int:
+    """The least d with count multiples of 1/d in (0, bound_max], if d <= bound_denominator_max."""
+    d = -(-count * cfg.bound_max.denominator // cfg.bound_max.numerator)
+    if d > cfg.bound_denominator_max:
+        raise ConfigError(f"mitl bounds within bound_max {cfg.bound_max} need denominator {d} "
+                          f"or more; bound_denominator_max is {cfg.bound_denominator_max}")
+    return d
 
 
 def _any_bound(cfg: GenConfig, rng: random.Random, singleton_free: bool) -> Bound:
@@ -105,9 +119,9 @@ def _any_bound(cfg: GenConfig, rng: random.Random, singleton_free: bool) -> Boun
 
 
 def _mitl_box_bound(cfg: GenConfig, rng: random.Random) -> Bound:
-    # lo < hi <= 3*lo, both within (0, bound_max]
-    d = rng.randint(1, cfg.bound_denominator_max)
-    cap = max(2, int(cfg.bound_max * d))
+    # lo < hi <= 3*lo, both within (0, bound_max]: d leaves two steps
+    d = rng.randint(_least_denominator(cfg, 2), cfg.bound_denominator_max)
+    cap = int(cfg.bound_max * d)
     n1 = rng.randint(1, cap - 1)
     n2 = rng.randint(n1 + 1, min(3 * n1, cap))
     return Bound(Fraction(n1, d), Fraction(n2, d))
@@ -207,20 +221,20 @@ def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
 
     The region shrinks the horizon by the larger of the two formulas'
     reaches on each side; an empty region is reported as such rather
-    than treated as agreement.
+    than treated as agreement.  The evaluator clips each truth set to
+    the region.  When they differ, the points where they do are the
+    truth set of f1 xor f2, written in & and !, and first_diff is its
+    first part.
     """
     region = combined_reliable_region(tr, f1, f2)
     if region is None:
         return Verdict(status="empty_region")
-    clip = from_interval(region)
-    s1 = eval_truth_set(f1, tr).intersect(clip)
-    s2 = eval_truth_set(f2, tr).intersect(clip)
+    s1 = eval_truth_set(f1, tr, region)
+    s2 = eval_truth_set(f2, tr, region)
     if s1 == s2:
         return Verdict(status="equal", region=region, truths=(s1, s2))
-    only1 = s1.intersect(s2.complement_within(region))
-    only2 = s2.intersect(s1.complement_within(region))
-    diff = only1.union(only2)
-    first = diff.parts[0]
+    xor = Not(And(Not(And(f1, Not(f2))), Not(And(f2, Not(f1)))))
+    first = eval_truth_set(xor, tr, region).parts[0]
     return Verdict(
         status="not_equal",
         region=region,
@@ -276,9 +290,8 @@ def _wrapper_box(cfg: GenConfig, rng: random.Random, mode: RewriteMode, body: Fo
 
 
 def _random_slack(cfg: GenConfig, rng: random.Random) -> Fraction:
-    d = rng.randint(1, cfg.bound_denominator_max)
-    cap = max(1, int(cfg.bound_max * d))
-    return Fraction(rng.randint(1, cap), d)
+    d = rng.randint(_least_denominator(cfg, 1), cfg.bound_denominator_max)
+    return Fraction(rng.randint(1, int(cfg.bound_max * d)), d)
 
 
 def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
@@ -292,6 +305,8 @@ def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
     mode_name = "punctual" if isinstance(mode, Punctual) else "mitl"
     report = CampaignReport(mode=mode_name, config=cfg)
     box_bounds = "mitl" if isinstance(mode, SingletonFree) else "any"
+    if box_bounds == "mitl":
+        _least_denominator(cfg, 2)  # no legal box bound: refuse before the first trial
     for trial in range(cfg.trials):
         rng = _stream(cfg.seed, _TAG_TRIAL, trial)
         inner = gen_formula(cfg, trial, box_bounds=box_bounds)

@@ -21,11 +21,11 @@ and last atoms, and the endpoint flags drop out of every operation:
   canonical list        lo_i <= hi_i and hi_i + 1 < lo_(i+1)
 
 The kernel below works on such lists of ints and never mutates its
-arguments.  Each :class:`IntervalSet` method encodes its operands at the
-lcm of their denominators, runs the kernel and decodes;
-:mod:`bmtl.evaluate` stays in codes from the trace to its result.  Window
-shifts, the dilation of diamonds and the erosion of boxes, have no set
-method: the evaluator calls :func:`shift_codes` directly.
+arguments; it is the only set algebra.  :class:`IntervalSet` is a value:
+its canonical-form check, point query, iteration and text.
+:mod:`bmtl.evaluate` stays in codes from the trace to its result, clipped
+to a caller's region before the one decode, and :mod:`bmtl.traces` fuses
+a predicate's facts into codes; no other bmtl module sees them.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
-
-from .errors import MemberOutsideUniverseError
 
 RationalLike = Union[Fraction, int]
 
@@ -211,23 +209,15 @@ def _scale(parts: Iterable[Interval]) -> int:
     return math.lcm(*{x.denominator for p in parts for x in (p.lo, p.hi)})
 
 
-def _canonical(parts: Sequence[Interval]) -> "IntervalSet":
-    """The canonical set of parts in any order."""
-    scale = _scale(parts)
-    it = iter(encode(parts, scale))
-    return decode(fuse_runs(sorted(zip(it, it))), scale)
-
-
 # ------------------------------------------------------------------ sets
 
 
 @dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of intervals.
+    """Canonical finite union of intervals: a value, with no operations.
 
-    Construct via :func:`coalesce` (or the operations below) unless the
-    parts are already canonical; the constructor checks and rejects
-    non-canonical input.
+    Construct via :func:`coalesce` unless the parts are already
+    canonical; the constructor checks and rejects non-canonical input.
     """
 
     parts: tuple[Interval, ...] = ()
@@ -244,25 +234,6 @@ class IntervalSet:
     def __bool__(self) -> bool:
         return bool(self.parts)
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        # two sorted runs of parts: the sort merges them in linear time
-        return _canonical(self.parts + other.parts)
-
-    def intersect(self, other: "IntervalSet") -> "IntervalSet":
-        scale = _scale(self.parts + other.parts)
-        return decode(intersect_codes(encode(self.parts, scale), encode(other.parts, scale)), scale)
-
-    def complement_within(self, universe: Interval) -> "IntervalSet":
-        """Points of ``universe`` not in this set; closedness flips at
-        every internal boundary."""
-        scale = _scale(self.parts + (universe,))
-        codes = encode(self.parts, scale)
-        lo, hi = encode((universe,), scale)
-        if codes and (codes[0] < lo or codes[-1] > hi):
-            p = next(p for p in self.parts if not universe.contains_interval(p))
-            raise MemberOutsideUniverseError(f"member {p} not contained in universe {universe}")
-        return decode(complement_codes(codes, lo, hi), scale)
-
     def contains_point(self, t: RationalLike) -> bool:
         t = rat(t)
         return any(p.contains(t) for p in self.parts)
@@ -275,8 +246,13 @@ EMPTY = IntervalSet()
 
 
 def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
-    """Canonicalize a raw collection of intervals (Nones are dropped)."""
-    return _canonical([p for p in raw if p is not None])
+    """Canonicalize a raw collection of intervals (Nones are dropped), in
+    any order: their codes at the lcm of their ends' denominators, sorted
+    and fused."""
+    parts = [p for p in raw if p is not None]
+    scale = _scale(parts)
+    it = iter(encode(parts, scale))
+    return decode(fuse_runs(sorted(zip(it, it))), scale)
 
 
 def from_interval(p: Interval) -> IntervalSet:

@@ -54,9 +54,11 @@ from .intervals import Interval, IntervalSet, decode, fuse_runs
 # The rational grammar of trace endpoints and of the CLI's rational
 # options: n or n/d, as two groups (numerator, then denominator or None).
 RATIONAL = r"(-?\d+)(?:/(\d+))?"
+# The grammar of predicate names, in traces and in formulas.
+NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
 _FACT_RE = re.compile(
-    rf"^([A-Za-z][A-Za-z0-9_]*)\s*@\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
+    rf"^({NAME})\s*@\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,10 @@ from bmtl.intervals import (
     Interval,
     IntervalSet,
     coalesce,
+    complement_codes,
     decode,
     encode,
+    intersect_codes,
     scaled_value,
     shift_codes,
 )
@@ -106,6 +108,29 @@ def shifted(s: IntervalSet, d_lo, d_hi) -> IntervalSet:
         encode(s.parts, scale), 2 * scaled_value(d_lo, scale), 2 * scaled_value(d_hi, scale)
     )
     return decode(codes, scale)
+
+
+# The set algebra for tests, by the kernel the evaluator runs, each
+# operation at the lcm of its own operands' denominators.
+
+
+def _lcm(parts) -> int:
+    return math.lcm(*(x.denominator for p in parts for x in (p.lo, p.hi)))
+
+
+def intersect(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    scale = _lcm(a.parts + b.parts)
+    return decode(intersect_codes(encode(a.parts, scale), encode(b.parts, scale)), scale)
+
+
+def union(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    return coalesce(a.parts + b.parts)
+
+
+def complement(s: IntervalSet, universe: Interval) -> IntervalSet:
+    """The points of universe outside s; s may reach beyond universe."""
+    scale = _lcm(s.parts + (universe,))
+    return decode(complement_codes(encode(s.parts, scale), *encode((universe,), scale)), scale)
 
 
 @st.composite

@@ -29,7 +29,7 @@ from bmtl.syntax import (
     census,
     print_formula,
 )
-from conftest import corrupt_punctual_box, shifted
+from conftest import complement, corrupt_punctual_box, intersect, shifted, union
 from gridcheck import exists_in_window, forall_in_window, members, padded_grid
 
 CAMPAIGN_BUDGET_S = 120.0
@@ -101,11 +101,8 @@ def test_c3_diamond_rewrite_pairs(announce):
         region = combined_reliable_region(tr, dia, rewritten)
         if region is None:
             continue
-        clip = from_interval(region)
         compared += 1
-        if eval_truth_set(dia, tr).intersect(clip) == eval_truth_set(
-            rewritten, tr
-        ).intersect(clip):
+        if eval_truth_set(dia, tr, region) == eval_truth_set(rewritten, tr, region):
             equal += 1
     ok = compared >= 450 and equal == compared
     announce(
@@ -128,11 +125,8 @@ def test_c4_golden_zero_lower_box_identity(announce):
             region = combined_reliable_region(tr, boxed, unrolled)
             if region is None:
                 continue
-            clip = from_interval(region)
             checked += 1
-            if eval_truth_set(boxed, tr).intersect(clip) == eval_truth_set(
-                unrolled, tr
-            ).intersect(clip):
+            if eval_truth_set(boxed, tr, region) == eval_truth_set(unrolled, tr, region):
                 equal += 1
     ok = checked >= 55 and equal == checked
     announce(
@@ -236,13 +230,13 @@ def test_c7_interval_algebra_against_lattice(announce):
 
     def check_intersect():
         s1, s2 = _random_interval_set(rng), _random_interval_set(rng)
-        got = s1.intersect(s2)
+        got = intersect(s1, s2)
         pts = padded_grid([s1, s2, got], [], F(1))
         return members(got, pts) == [a and b for a, b in zip(members(s1, pts), members(s2, pts))]
 
     def check_union():
         s1, s2 = _random_interval_set(rng), _random_interval_set(rng)
-        got = s1.union(s2)
+        got = union(s1, s2)
         pts = padded_grid([s1, s2, got], [], F(1))
         return members(got, pts) == [a or b for a, b in zip(members(s1, pts), members(s2, pts))]
 
@@ -250,8 +244,8 @@ def test_c7_interval_algebra_against_lattice(announce):
         s = _random_interval_set(rng)
         lo, hi = _random_bound_pair(rng)
         universe = Interval(-hi - 9, hi + 9)
-        clipped = s.intersect(from_interval(universe))
-        got = clipped.complement_within(universe)
+        clipped = intersect(s, from_interval(universe))
+        got = complement(clipped, universe)
         pts = padded_grid([clipped, got], [universe.lo, universe.hi], F(1))
         return members(got, pts) == [
             u and not c for u, c in zip(members([universe], pts), members(clipped, pts))

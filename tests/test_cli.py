@@ -340,6 +340,19 @@ class TestCheck:
         assert out == ""
         assert "[CONFIG_ERROR]" in err
 
+    def test_mitl_bounds_within_a_small_bound_max(self, capsys):
+        flags = ("--seed", "42", "--trials", "50", "--bound-max", "1/2")
+        code, out, _ = run(capsys, "check", "--mode", "mitl", *flags)
+        assert code == 0
+        assert "failures: 0" in out
+
+    def test_mitl_without_a_legal_bound_exits_2(self, capsys):
+        flags = ("--bound-max", "1/4", "--trials", "5")
+        code, out, err = run(capsys, "check", "--mode", "mitl", *flags)
+        assert code == 2
+        assert out == ""
+        assert "[CONFIG_ERROR]" in err
+
     def test_depth_cap_is_named(self, capsys):
         code, _, err = run(capsys, "check", "--mode", "punctual", "--max-depth", "33")
         assert code == 2

@@ -27,7 +27,16 @@ from bmtl.syntax import (
     fold,
 )
 from bmtl.traces import Fact, Trace
-from conftest import bounds_st, formulas_st, shifted, traces_st
+from conftest import (
+    bounds_st,
+    complement,
+    formulas_st,
+    intersect,
+    shifted,
+    traces_st,
+    union,
+)
+from gridcheck import assert_canonical, members, padded_grid
 from hypothesis import strategies as st
 
 
@@ -88,19 +97,13 @@ class TestFrozenValues:
 class TestStructuralLaws:
     @given(formulas_st(max_depth=3), formulas_st(max_depth=3), traces_st())
     def test_and_is_intersection(self, f, g, tr):
-        assert eval_truth_set(And(f, g), tr) == eval_truth_set(f, tr).intersect(
-            eval_truth_set(g, tr)
+        assert eval_truth_set(And(f, g), tr) == intersect(
+            eval_truth_set(f, tr), eval_truth_set(g, tr)
         )
 
     @given(formulas_st(max_depth=3), traces_st())
     def test_not_complements_clipped_truth(self, f, tr):
-        horizon_set = from_interval(tr.horizon)
-        want = (
-            eval_truth_set(f, tr)
-            .intersect(horizon_set)
-            .complement_within(tr.horizon)
-        )
-        assert eval_truth_set(Not(f), tr) == want
+        assert eval_truth_set(Not(f), tr) == complement(eval_truth_set(f, tr), tr.horizon)
 
     @given(bounds_st(), formulas_st(max_depth=2), traces_st())
     def test_dia_box_duality_inside_reliable_region(self, b, f, tr):
@@ -109,10 +112,7 @@ class TestStructuralLaws:
         region = combined_reliable_region(tr, boxed, dual)
         if region is None:
             return
-        clip = from_interval(region)
-        assert eval_truth_set(boxed, tr).intersect(clip) == eval_truth_set(
-            dual, tr
-        ).intersect(clip)
+        assert eval_truth_set(boxed, tr, region) == eval_truth_set(dual, tr, region)
 
     @given(bounds_st(), formulas_st(max_depth=2), traces_st())
     def test_past_dia_box_duality_inside_reliable_region(self, b, f, tr):
@@ -121,10 +121,42 @@ class TestStructuralLaws:
         region = combined_reliable_region(tr, boxed, dual)
         if region is None:
             return
-        clip = from_interval(region)
-        assert eval_truth_set(boxed, tr).intersect(clip) == eval_truth_set(
-            dual, tr
-        ).intersect(clip)
+        assert eval_truth_set(boxed, tr, region) == eval_truth_set(dual, tr, region)
+
+
+@st.composite
+def _sevenths_intervals(draw):
+    """Intervals whose ends are n/7, a denominator that neither formulas_st
+    nor traces_st uses, each end open or closed."""
+    ends = st.integers(min_value=-100, max_value=100).filter(lambda n: n % 7).map(lambda n: F(n, 7))
+    a, b = draw(ends), draw(ends)
+    if a == b:
+        return Interval(a, b)
+    return Interval(min(a, b), max(a, b), draw(st.booleans()), draw(st.booleans()))
+
+
+class TestWithin:
+    def test_frozen_clips(self, simple_trace):
+        p = Pred("p")  # true on [0, 4]
+        assert eval_truth_set(p, simple_trace, Interval(0, 4, False, False)) == coalesce(
+            [Interval(0, 4, False, False)]
+        )
+        assert eval_truth_set(p, simple_trace, Interval(F(1, 7), F(30, 7), True, False)) == (
+            coalesce([Interval(F(1, 7), 4)])
+        )
+        assert eval_truth_set(p, simple_trace, Interval(F(29, 7), F(30, 7))).parts == ()
+
+    @settings(max_examples=200)
+    @given(formulas_st(max_depth=3, allow_not=True), traces_st(), _sevenths_intervals())
+    @example(Pred("p"), Trace(Interval(0, 2), (Fact("p", Interval(0, 1)),)), Interval(F(1, 7), 1))
+    def test_within_is_the_unclipped_set_clipped_on_the_lattice(self, f, tr, within):
+        whole = eval_truth_set(f, tr)
+        got = eval_truth_set(f, tr, within)
+        assert_canonical(got)
+        assert all(type(x) is F for p in got.parts for x in (p.lo, p.hi)), got
+        pts = padded_grid([whole, got], [within.lo, within.hi], F(1))
+        want = [a and b for a, b in zip(members(whole, pts), members([within], pts))]
+        assert members(got, pts) == want
 
 
 @st.composite
@@ -157,10 +189,7 @@ class TestReliableRegionSoundness:
             Interval(tr.horizon.lo - delta, tr.horizon.hi + delta),
             tr.facts + tuple(extra),
         )
-        clip = from_interval(region)
-        assert eval_truth_set(f, tr).intersect(clip) == eval_truth_set(
-            f, extended
-        ).intersect(clip)
+        assert eval_truth_set(f, tr, region) == eval_truth_set(f, extended, region)
 
 
 def _reference_binary_clause(holds, witness, shift_lo, shift_hi):
@@ -169,9 +198,9 @@ def _reference_binary_clause(holds, witness, shift_lo, shift_hi):
     out = EMPTY
     for part in holds.parts:
         j = from_interval(part)
-        inside = j.intersect(witness)
+        inside = intersect(j, witness)
         if inside.parts:
-            out = out.union(shifted(inside, shift_lo, shift_hi).intersect(j))
+            out = union(out, intersect(shifted(inside, shift_lo, shift_hi), j))
     return out
 
 
@@ -268,17 +297,17 @@ class TestSinceUntilSweep:
 
 
 def _reference_eval_truth_set(f, tr):
-    """The evaluator as IntervalSet operations, with windows by `shifted`:
-    the same clauses run on
-    the trace's Fraction truth bases and the bounds as they are, each
-    operation at the lcm of its own operands, with since/until by the
-    per-part reference (kept as the reference)."""
+    """The evaluator as set operations, by the conftest helpers and
+    `shifted`: the same clauses run on the trace's Fraction truth bases
+    and the bounds as they are, each operation at the lcm of its own
+    operands, with since/until by the per-part reference (kept as the
+    reference)."""
     horizon = from_interval(tr.horizon)
     clauses = {
         Pred: lambda n, k: tr.truth_base(n.name),
         Top: lambda n, k: horizon,
-        Not: lambda n, k: k[0].intersect(horizon).complement_within(tr.horizon),
-        And: lambda n, k: k[0].intersect(k[1]),
+        Not: lambda n, k: complement(k[0], tr.horizon),
+        And: lambda n, k: intersect(k[0], k[1]),
         DiaMinus: lambda n, k: shifted(k[0], n.bound.lo, n.bound.hi),
         DiaPlus: lambda n, k: shifted(k[0], -n.bound.hi, -n.bound.lo),
         BoxMinus: lambda n, k: shifted(k[0], n.bound.hi, n.bound.lo),

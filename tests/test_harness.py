@@ -2,9 +2,11 @@
 
 import gc
 import json
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
 
 import bmtl.evaluate as evaluate_module
 import bmtl.harness as harness_module
@@ -20,20 +22,24 @@ from bmtl.harness import (
     gen_trace,
     run_campaign,
 )
-from bmtl.intervals import Interval, fuse_runs
+from bmtl.evaluate import eval_truth_set
+from bmtl.intervals import Interval, from_interval, fuse_runs
+from bmtl.parser import parse_formula
 from bmtl.rewrite import Punctual, SingletonFree
 from bmtl.syntax import (
     Bound,
     BoxMinus,
     BoxPlus,
     DiaMinus,
+    Not,
     Pred,
     Top,
     census,
     is_negation_free,
+    print_formula,
 )
 from bmtl.traces import Fact, Trace
-from conftest import corrupt_punctual_box
+from conftest import complement, corrupt_punctual_box, formulas_st, intersect, traces_st, union
 
 RULES_AS_SHIPPED = dict(rewrite_module.RULES)
 
@@ -87,6 +93,40 @@ class TestGenerators:
 
             walk(f)
 
+    def test_mitl_box_bounds_stay_within_bound_max(self):
+        # bound_max 1/2 leaves two steps of 1/d within it at d = 4 only
+        cfg = GenConfig(bound_max=F(1, 2), bound_denominator_max=4)
+        for i in range(2000):
+            b = harness_module._mitl_box_bound(cfg, random.Random(i))
+            assert 0 < b.lo < b.hi <= min(3 * b.lo, cfg.bound_max), b
+
+    def test_slacks_stay_within_bound_max(self):
+        cfg = GenConfig(bound_max=F(1, 8), bound_denominator_max=8)
+        for i in range(1000):
+            assert 0 < harness_module._random_slack(cfg, random.Random(i)) <= F(1, 8)
+
+    def test_no_legal_mitl_bound_is_a_config_error(self):
+        cfg = GenConfig(bound_max=F(1, 4), bound_denominator_max=4, trials=5)
+        with pytest.raises(ConfigError, match="bound_denominator_max"):
+            run_campaign(cfg, SingletonFree())
+        with pytest.raises(ConfigError):  # at the first box drawn
+            for i in range(50):
+                gen_formula(cfg, i, box_bounds="mitl")
+        # punctual boxes may be singletons, which bound_max 1/4 allows
+        report = run_campaign(cfg, Punctual())
+        assert report.trials + report.empty_regions == 5
+
+    @pytest.mark.parametrize("name", ["true", "S", "U", "bplus", "p q", "", "1p", "p-q", 1])
+    def test_predicate_names_must_print_back(self, name):
+        with pytest.raises(ConfigError, match="predicate name"):
+            GenConfig(predicate_pool=("p", name))
+
+    def test_generated_formulas_replay_from_their_text(self):
+        cfg = GenConfig(seed=5, predicate_pool=("p_1", "Q2", "trueish"))
+        for i in range(40):
+            f = gen_formula(cfg, i)
+            assert parse_formula(print_formula(f)) == f
+
     def test_traces_fit_horizon(self):
         cfg = GenConfig(seed=11)
         for i in range(20):
@@ -111,8 +151,6 @@ class TestCheckEquivalence:
         assert verdict.witness is not None
         assert verdict.region.contains(verdict.witness)
         # the witness separates the two truth sets
-        from bmtl.evaluate import eval_truth_set
-
         in_p = eval_truth_set(Pred("p"), tr).contains_point(verdict.witness)
         in_top = eval_truth_set(Top(), tr).contains_point(verdict.witness)
         assert in_p != in_top
@@ -121,6 +159,39 @@ class TestCheckEquivalence:
         tr = Trace(Interval(F(0), F(2)), ())
         f = DiaMinus(Bound(F(0), F(3)), Pred("p"))
         assert check_equivalence(f, f, tr).status == "empty_region"
+
+    def test_first_diff_under_negation(self):
+        tr = Trace(
+            Interval(F(0), F(10)),
+            (Fact("p", Interval(F(1), F(3))), Fact("q", Interval(F(2), F(5)))),
+        )
+        # p is [1,3] and !q is [0,2) and (5,10]: they differ on [0,1),
+        # [2,3] and (5,10]
+        verdict = check_equivalence(Pred("p"), Not(Pred("q")), tr)
+        assert verdict.status == "not_equal"
+        assert verdict.first_diff == Interval(F(0), F(1), True, False)
+        assert verdict.witness == 0
+
+    @settings(max_examples=150)
+    @given(
+        formulas_st(max_depth=2, allow_not=True),
+        formulas_st(max_depth=2, allow_not=True),
+        traces_st(),
+    )
+    def test_first_diff_is_first_part_of_symmetric_difference(self, f1, f2, tr):
+        verdict = check_equivalence(f1, f2, tr)
+        if verdict.status == "empty_region":
+            return
+        region = verdict.region
+        s1, s2 = verdict.truths
+        assert s1 == intersect(eval_truth_set(f1, tr), from_interval(region))
+        assert s2 == intersect(eval_truth_set(f2, tr), from_interval(region))
+        diff = union(intersect(s1, complement(s2, region)), intersect(s2, complement(s1, region)))
+        if verdict.status == "equal":
+            assert diff.parts == ()
+        else:
+            assert verdict.first_diff == diff.parts[0]
+            assert verdict.first_diff.contains(verdict.witness)
 
 
 def open_every_closed_right_end(monkeypatch):

@@ -33,7 +33,7 @@ from bmtl.errors import (
     PointOutsideHorizonError,
 )
 from bmtl.evaluate import eval_truth_set, reliable_region
-from bmtl.intervals import Interval, coalesce, from_interval, make_interval
+from bmtl.intervals import Interval, coalesce, make_interval
 from bmtl.oracle import (
     _ARRAYS,
     _TruthTable,
@@ -403,7 +403,7 @@ class TestFirstDifference:
         region = reliable_region(f, tr)
         if region is None:
             return
-        truth = eval_truth_set(f, tr).intersect(from_interval(region))
+        truth = eval_truth_set(f, tr, region)
         assert oracle_first_difference(f, tr, truth, region) is None
 
     @settings(max_examples=500, deadline=None)
@@ -415,7 +415,7 @@ class TestFirstDifference:
         region = reliable_region(f, tr)
         if region is None:
             return
-        parts = list(eval_truth_set(f, tr).intersect(from_interval(region)).parts)
+        parts = list(eval_truth_set(f, tr, region).parts)
         if parts:
             i = data.draw(st.integers(0, len(parts) - 1))
             p = parts.pop(i)
