@@ -24,7 +24,7 @@ from .errors import (
     PointOutsideHorizonError,
     RewriteError,
 )
-from .evaluate import combined_reliable_region, eval_truth_set, reliable_region
+from .evaluate import eval_truth_set, reliable_region
 from .harness import (
     CampaignReport,
     GenConfig,

@@ -30,20 +30,20 @@ Evaluation runs on atom codes in integer time (see
 :mod:`bmtl.intervals`): each truth set is a flat list of ints, the
 first and last atoms of each of its parts.  A trace keeps its facts'
 ends as ints at its own scale, the lcm of its horizon's and facts'
-denominators, and fuses a predicate's truth base into codes at that
-scale when read (see :mod:`bmtl.traces`).  At entry, L is the lcm of
-that scale, of the formula's bound scale (see syntax.scope) and of the
-denominators of the region ``within`` when a caller gives one; each
-base the formula reads is read from the trace once and taken as it
-is, or times the integer L / scale when the bounds add a denominator,
-and the horizon and each bound are coded at L once.  Every clause is
-then a kernel sweep over ints: shifting time by a bound endpoint b adds
-2bL to a code, so no endpoint flag, Fraction or object is touched until
-the result, intersected with ``within``'s codes if given, is decoded
-once at exit into an IntervalSet with Fraction ends.  This is exact:
-each clause only compares codes and adds shifts to them, so it commutes
+denominators (see :mod:`bmtl.traces`).  At entry, L is the lcm of that
+scale, of the formula's bound scale (see syntax.scope) and of the
+denominators of the region ``within`` when a caller gives one, so a
+multiple of the trace's scale.  A predicate's base is fused from its
+spans on each read, each end times the integer 2L / scale in the same
+pass, and nothing is cached: the formula is hash-consed, so each
+predicate is one node and the fold reads its base once.  The horizon
+and each bound are coded at L once.  Every clause is then a kernel
+sweep over ints: shifting time by a bound endpoint b adds 2bL to a
+code, so no endpoint flag, Fraction or object is touched until the
+result, intersected with ``within``'s codes if given, is decoded once
+at exit into an IntervalSet with Fraction ends.  This is exact: each
+clause only compares codes and adds shifts to them, so it commutes
 with scaling all of time by L > 0, and no rounding and no float enters.
-The rescaled copies live only for the one call.
 
 Truth sets may extend beyond the horizon (dilation pushes them out);
 only the true/negation clauses consult the horizon.  Within the
@@ -63,6 +63,7 @@ from .intervals import (
     complement_codes,
     decode,
     encode,
+    fuse_runs,
     intersect_codes,
     scaled_value,
     shift_codes,
@@ -114,11 +115,9 @@ class _IntegerTime:
 
     scale is the lcm of the trace's scale, of f's bound scale (see
     ``scope``) and of the denominators of within's ends, if any, so a
-    multiple of the trace's scale: a base the trace fuses into codes at
-    its scale is taken as it is when the two scales agree, and times
-    their integer ratio otherwise.  ``of`` codes a shift by a bound
-    endpoint.  A per-call temporary: nothing it rescales outlives the
-    evaluation.
+    multiple of the trace's scale: ``base`` fuses a predicate's spans,
+    times that multiple, into codes on each read.  ``of`` codes a shift
+    by a bound endpoint.
     """
 
     def __init__(self, f: Formula, tr: Trace, within: Optional[Interval]):
@@ -126,20 +125,15 @@ class _IntegerTime:
         self.scale = math.lcm(tr.scale, scope(f).scale)
         if within is not None:
             self.scale = math.lcm(self.scale, within.lo.denominator, within.hi.denominator)
-        self.factor = self.scale // tr.scale
+        # every span is closed, so [lo, hi] at the trace's scale is the run
+        # of atoms [k lo, k hi] at this one
+        self.k = 2 * (self.scale // tr.scale)
         self.horizon = [self.of(tr.horizon.lo), self.of(tr.horizon.hi)]
-        self._bases: dict[str, list[int]] = {}
 
     def base(self, name: str) -> list[int]:
-        base = self._bases.get(name)
-        if base is None:
-            base = self.tr.codes(name)
-            if self.factor != 1:
-                # a trace's codes are all even, the closed ends 2x, which
-                # rescale as x does
-                base = [c * self.factor for c in base]
-            self._bases[name] = base
-        return base
+        los, his = self.tr.spans(name)
+        k = self.k
+        return fuse_runs(sorted(zip([k * lo for lo in los], [k * hi for hi in his])))
 
     def of(self, x) -> int:
         return 2 * scaled_value(x, self.scale)
@@ -170,15 +164,11 @@ def _binary_clause(holds: list[int], witness: list[int], d_lo: int, d_hi: int) -
 def reliable_region(f: Formula, tr: Trace) -> Optional[Interval]:
     """Sub-interval of the horizon where no window of f reaches outside.
 
-    None when the combined reach meets or exceeds the horizon's width.
+    None when the reach meets or exceeds the horizon's width.  The region
+    two formulas share is that of their conjunction, whose reach is the
+    larger of theirs on each side.
     """
-    return combined_reliable_region(tr, f)
-
-
-def combined_reliable_region(tr: Trace, *formulas: Formula) -> Optional[Interval]:
-    scopes = [scope(f) for f in formulas]
-    past = max(s.past for s in scopes)
-    future = max(s.future for s in scopes)
+    past, future, _ = scope(f)
     if past + future >= tr.horizon.width:
         return None
     return Interval(tr.horizon.lo + past, tr.horizon.hi - future)

@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import ConfigError
-from .evaluate import combined_reliable_region, eval_truth_set
+from .evaluate import eval_truth_set, reliable_region
 from .intervals import Interval, IntervalSet, rat
 from .oracle import oracle_first_difference
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
@@ -107,7 +107,9 @@ def _least_denominator(cfg: GenConfig, count: int) -> int:
 
 
 def _any_bound(cfg: GenConfig, rng: random.Random, singleton_free: bool) -> Bound:
-    d = rng.randint(1, cfg.bound_denominator_max)
+    # a singleton-free bound needs a step of 1/d within bound_max
+    least = _least_denominator(cfg, 1) if singleton_free else 1
+    d = rng.randint(least, cfg.bound_denominator_max)
     cap = int(cfg.bound_max * d)
     a, b = sorted((rng.randint(0, cap), rng.randint(0, cap)))
     if singleton_free and a == b:
@@ -219,14 +221,14 @@ def _point_inside(part: Interval) -> Fraction:
 def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
     """Compare exact truth sets inside the shared reliable region.
 
-    The region shrinks the horizon by the larger of the two formulas'
-    reaches on each side; an empty region is reported as such rather
+    The region is that of f1 & f2, whose reach is the larger of the two
+    formulas' on each side; an empty region is reported as such rather
     than treated as agreement.  The evaluator clips each truth set to
     the region.  When they differ, the points where they do are the
     truth set of f1 xor f2, written in & and !, and first_diff is its
     first part.
     """
-    region = combined_reliable_region(tr, f1, f2)
+    region = reliable_region(And(f1, f2), tr)
     if region is None:
         return Verdict(status="empty_region")
     s1 = eval_truth_set(f1, tr, region)

@@ -23,9 +23,9 @@ and last atoms, and the endpoint flags drop out of every operation:
 The kernel below works on such lists of ints and never mutates its
 arguments; it is the only set algebra.  :class:`IntervalSet` is a value:
 its canonical-form check, point query, iteration and text.
-:mod:`bmtl.evaluate` stays in codes from the trace to its result, clipped
-to a caller's region before the one decode, and :mod:`bmtl.traces` fuses
-a predicate's facts into codes; no other bmtl module sees them.
+:mod:`bmtl.evaluate` fuses a predicate's spans into codes and stays in
+codes from the trace to its result, clipped to a caller's region before
+the one decode; no bmtl module but this one and that one sees them.
 """
 
 from __future__ import annotations

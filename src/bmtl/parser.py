@@ -27,13 +27,14 @@ from typing import NamedTuple, Optional
 
 from .errors import BmtlError, ParseError
 from .syntax import NODE_TABLE, And, Bound, Formula, Pred, Top
+from .traces import NAME
 
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>[ \t\r]+)
+    rf"""(?P<ws>[ \t\r]+)
       | (?P<nl>\n)
       | (?P<comment>\#[^\n]*)
       | (?P<int>\d+)
-      | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+      | (?P<ident>{NAME})
       | (?P<punct>[\[\](),&!/-])
     """,
     re.VERBOSE,

@@ -15,12 +15,12 @@ syntax and the fields in order; a bound always sits just before the last
 operand.  Nodes are hash-consed: structurally equal formulas are one
 object, so == is identity and the box body the mitl rule copies into two
 conjuncts is one shared subtree.  Child access, rebuilding, both
-printers, the parser and the generators read the table.  fold(f, step)
-is the one traversal: iterative and post-order, it calls step(node,
-operand results) once per distinct node, so depth is bounded only by
-memory.  The evaluator, the oracle and the analyses here run on it, each
-dispatching through a dict keyed by node class; scope(f), f's reach and
-bound scale, is the one analysis of its bounds.
+printers and repr, the parser and the generators read the table.
+fold(f, step) is the one traversal: iterative and post-order, it calls
+step(node, operand results) once per distinct node, so depth is bounded
+only by memory.  The evaluator, the oracle and the analyses here run on
+it, each dispatching through a dict keyed by node class; scope(f), f's
+reach and bound scale, is the one analysis of its bounds.
 """
 
 from __future__ import annotations
@@ -75,8 +75,7 @@ class Formula:
         return self
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__name__}({fields})"
+        return _render(self, _repr_pieces)
 
 
 _UNIQUE: dict = {}  # node key -> weakref.KeyedRef to the live node with that key
@@ -184,8 +183,9 @@ def fold(f: Formula, step: Callable[[Formula, list], object]):
     return memo[id(f)]
 
 
-# longest text either printer produces; a shared subtree prints once per
-# occurrence, so a formula's text can double with each level of sharing
+# longest text either printer or repr produces; a shared subtree prints
+# once per occurrence, so a formula's text can double with each level of
+# sharing
 MAX_PRINTED_CHARS = 1_000_000
 
 
@@ -220,6 +220,15 @@ def _print_pieces(node: Formula, kind: Kind, kids: tuple) -> list:
     if len(kids) == 1:
         return [op + " " if kind.bounded else op, kids[0]]
     return ["(", kids[0], f" {op} ", kids[1], ")"]
+
+
+def _repr_pieces(node: Formula, kind: Kind, kids: tuple) -> list:
+    operands = iter(kids)
+    out = [type(node).__name__ + "("]
+    for i, name in enumerate(node._fields):
+        value = next(operands) if name in kind.children else repr(getattr(node, name))
+        out += [", " + name + "=" if i else name + "=", value]
+    return out + [")"]
 
 
 def print_formula(f: Formula) -> str:

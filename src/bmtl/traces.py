@@ -14,17 +14,13 @@ base.  Predicates never mentioned have an empty base (closed-world).
 Traces live in integer time, in one form: the horizon as a Fraction
 interval, a ``scale`` (the lcm of the denominators of the horizon and
 the facts), each predicate's fact ends times scale as ints, and the
-predicate of each fact in fact order.  Every other view is computed on
-each read and nothing is cached: :meth:`Trace.codes` fuses a predicate's
-spans into atom codes at scale (see :mod:`bmtl.intervals`),
-:meth:`Trace.truth_base` decodes them, and ``facts`` builds Fractions.
-An eval reads each predicate's codes once (a seeded eval-large mix
-repeats none of its 32 reads), and a 300-trial campaign repeats 432 of
-its 980, each a fuse of at most five facts.  The evaluator scales time
-by a multiple of the same lcm, so it takes the codes as they are, or
-times an integer factor when the formula's bounds add denominators (see
-:mod:`bmtl.evaluate`).  :meth:`Trace.spans` hands out the unfused int
-ends; the oracle reads the trace through it.
+predicate of each fact in fact order.  Every reader takes those ends
+through :meth:`Trace.spans`, unfused and uncopied: the evaluator fuses
+them into atom codes at its own scale, a multiple of this one (see
+:mod:`bmtl.evaluate`), and the oracle samples them on its grid.  The
+other views are computed on each read and nothing is cached:
+:meth:`Trace.truth_base` coalesces the spans as Fractions, and
+``facts`` builds them in fact order.
 
 One core, ``Trace._build``, turns ends given as (p, q, r, s) for
 [p/q, r/s] into that form: the lcm, one factor per denominator, and the
@@ -49,7 +45,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
-from .intervals import Interval, IntervalSet, decode, fuse_runs
+from .intervals import Interval, IntervalSet, coalesce
 
 # The rational grammar of trace endpoints and of the CLI's rational
 # options: n or n/d, as two groups (numerator, then denominator or None).
@@ -130,14 +126,9 @@ class Trace:
 
     def truth_base(self, predicate: str) -> IntervalSet:
         """Coalesced set of times at which the predicate is true."""
-        return decode(self.codes(predicate), self.scale)
-
-    def codes(self, predicate: str) -> list[int]:
-        """truth_base(predicate) as atom codes at scale, fused anew on each
-        read, so callers may mutate the list.  Every span is closed, so
-        every code is even: the span [lo, hi] is the run [2lo, 2hi]."""
-        los, his = self.spans(predicate)
-        return fuse_runs(sorted(zip([2 * lo for lo in los], [2 * hi for hi in his])))
+        scale = self.scale
+        return coalesce(Interval(Fraction(lo, scale), Fraction(hi, scale))
+                        for lo, hi in zip(*self.spans(predicate)))
 
     def spans(self, predicate: str) -> tuple[Sequence[int], Sequence[int]]:
         """The ends of predicate's facts times scale, as the lists (los,

@@ -12,12 +12,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from bmtl.evaluate import combined_reliable_region, eval_truth_set
+from bmtl.evaluate import eval_truth_set, reliable_region
 from bmtl.harness import GenConfig, gen_formula, gen_trace, run_campaign
 from bmtl.intervals import Interval, IntervalSet, coalesce, from_interval
 from bmtl.oracle import oracle_eval_many
 from bmtl.rewrite import Punctual, SingletonFree, normalize, rewrite_diamond
 from bmtl.syntax import (
+    And,
     Bound,
     BoxPlus,
     DiaMinus,
@@ -98,7 +99,7 @@ def test_c3_diamond_rewrite_pairs(announce):
         rewritten = rewrite_diamond(dia)
         assert isinstance(rewritten, (Since, Until))
         tr = gen_trace(cfg, i)
-        region = combined_reliable_region(tr, dia, rewritten)
+        region = reliable_region(And(dia, rewritten), tr)
         if region is None:
             continue
         compared += 1
@@ -122,7 +123,7 @@ def test_c4_golden_zero_lower_box_identity(announce):
             boxed = BoxPlus(Bound(F(0), width), body)
             unrolled = Until(body, Bound(width, width), Top())
             tr = gen_trace(cfg, k)
-            region = combined_reliable_region(tr, boxed, unrolled)
+            region = reliable_region(And(boxed, unrolled), tr)
             if region is None:
                 continue
             checked += 1

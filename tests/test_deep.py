@@ -187,3 +187,23 @@ def test_oversized_mitl_text_is_refused_quickly():
     with pytest.raises(OutputTooLargeError):
         s_expression(out)
     assert time.monotonic() - started < 1
+
+
+def test_repr_of_a_deep_chain_and_its_rewrite_report():
+    # repr renders through the printers' walk, so depth costs no stack
+    box = "BoxPlus(bound=Bound(lo=Fraction(1, 1), hi=Fraction(2, 1)), body="
+    f = parse_formula("bplus[1,2] " * DEPTH + "p")
+    assert repr(f) == box * DEPTH + "Pred(name='p')" + ")" * DEPTH
+    report = normalize(chain(REWRITE_OPERATORS, side=REWRITE_SIDE, depth=300), Punctual())
+    text = repr(report)
+    assert text.startswith(f"RewriteReport(input={report.input!r}, output={report.output!r}")
+    assert text.count("RuleApplication(") == len(report.applied)
+
+
+def test_oversized_mitl_repr_is_refused_quickly():
+    # the shared box bodies would spell out 2**30 paths
+    out = normalize(chain(("bplus",), Bound(F(1), F(2)), depth=30), SingletonFree()).output
+    started = time.monotonic()
+    with pytest.raises(OutputTooLargeError):
+        repr(out)
+    assert time.monotonic() - started < 1

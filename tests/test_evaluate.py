@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 
 from bmtl.evaluate import (
     _binary_clause,
-    combined_reliable_region,
+    _IntegerTime,
     eval_truth_set,
     reliable_region,
 )
@@ -26,17 +26,18 @@ from bmtl.syntax import (
     Until,
     fold,
 )
-from bmtl.traces import Fact, Trace
+from bmtl.traces import Fact, Trace, parse_trace
 from conftest import (
     bounds_st,
     complement,
     formulas_st,
     intersect,
+    reference_reach,
     shifted,
     traces_st,
     union,
 )
-from gridcheck import assert_canonical, members, padded_grid
+from gridcheck import assert_canonical, exists_in_window, forall_in_window, members, padded_grid
 from hypothesis import strategies as st
 
 
@@ -109,7 +110,7 @@ class TestStructuralLaws:
     def test_dia_box_duality_inside_reliable_region(self, b, f, tr):
         boxed = BoxPlus(b, f)
         dual = Not(DiaPlus(b, Not(f)))
-        region = combined_reliable_region(tr, boxed, dual)
+        region = reliable_region(And(boxed, dual), tr)
         if region is None:
             return
         assert eval_truth_set(boxed, tr, region) == eval_truth_set(dual, tr, region)
@@ -118,7 +119,7 @@ class TestStructuralLaws:
     def test_past_dia_box_duality_inside_reliable_region(self, b, f, tr):
         boxed = BoxMinus(b, f)
         dual = Not(DiaMinus(b, Not(f)))
-        region = combined_reliable_region(tr, boxed, dual)
+        region = reliable_region(And(boxed, dual), tr)
         if region is None:
             return
         assert eval_truth_set(boxed, tr, region) == eval_truth_set(dual, tr, region)
@@ -190,6 +191,22 @@ class TestReliableRegionSoundness:
             tr.facts + tuple(extra),
         )
         assert eval_truth_set(f, tr, region) == eval_truth_set(f, extended, region)
+
+
+class TestSharedRegion:
+    @given(formulas_st(max_depth=3), formulas_st(max_depth=3), traces_st())
+    # a past reach of 1 and a future reach of 2 fill the width of 3
+    @example(
+        DiaMinus(Bound(F(0), F(1)), Pred("p")),
+        DiaPlus(Bound(F(1), F(2)), Pred("q")),
+        Trace(Interval(F(0), F(3)), ()),
+    )
+    def test_region_of_a_conjunction_takes_the_larger_reach_on_each_side(self, f1, f2, tr):
+        (past1, future1), (past2, future2) = reference_reach(f1), reference_reach(f2)
+        past, future = max(past1, past2), max(future1, future2)
+        h = tr.horizon
+        want = None if past + future >= h.width else Interval(h.lo + past, h.hi - future)
+        assert reliable_region(And(f1, f2), tr) == want
 
 
 def _reference_binary_clause(holds, witness, shift_lo, shift_hi):
@@ -285,8 +302,8 @@ class TestSinceUntilSweep:
         reads = 0
         # since over [0,1] and until over [1,2]
         for shift in ((0, unit), (-2 * unit, -unit)):
-            witness = _CountingList(tr.codes("q"))
-            assert _binary_clause(tr.codes("p"), witness, *shift)
+            witness = _CountingList(encode(tr.truth_base("q").parts, tr.scale))
+            assert _binary_clause(encode(tr.truth_base("p").parts, tr.scale), witness, *shift)
             reads += witness.reads
         return reads
 
@@ -351,6 +368,15 @@ def _coprime_traces(draw):
     return Trace(Interval(lo, hi), tuple(facts))
 
 
+@st.composite
+def _fifths_or_sevenths_bounds(draw):
+    """Bounds within [0, 3] with an end at n/5 or n/7 off the integers."""
+    d = draw(st.sampled_from((5, 7)))
+    ends = st.integers(min_value=0, max_value=3 * d)
+    a, b = sorted((draw(ends), draw(ends.filter(lambda n: n % d))))
+    return Bound(F(a, d), F(b, d))
+
+
 class TestIntegerTime:
     @settings(max_examples=300)
     @given(
@@ -372,6 +398,45 @@ class TestIntegerTime:
         got = eval_truth_set(f, tr)
         assert got == _reference_eval_truth_set(f, tr)
         assert all(type(x) is F for p in got.parts for x in (p.lo, p.hi)), got
+
+    def test_base_is_the_spans_fused_at_the_evaluators_scale(self):
+        tr = parse_trace("horizon [-1/2,10]\np @ [1/3,2]\np @ [5/4,2]\np @ [2,9/4]\n")
+        assert tr.scale == 12
+        # the closed span [4/12, 27/12] is the run of atoms [2*4, 2*27]
+        t = _IntegerTime(Pred("p"), tr, None)
+        assert t.scale == 12
+        assert t.base("p") == [8, 54]
+        assert all(type(x) is int for x in t.base("p"))
+        assert t.base("q") == []
+        # a bound at 1/5 scales time by 5 more: the run [2*20, 2*135]
+        t = _IntegerTime(DiaMinus(Bound(F(0), F(1, 5)), Pred("p")), tr, None)
+        assert t.scale == 60
+        assert t.base("p") == [40, 270]
+        want = coalesce([Interval(F(1, 3), F(9, 4))])
+        assert eval_truth_set(Pred("p"), tr) == tr.truth_base("p") == want
+
+    @settings(max_examples=150)
+    @given(
+        st.sampled_from((DiaMinus, DiaPlus, BoxMinus, BoxPlus)),
+        _fifths_or_sevenths_bounds(),
+        st.sampled_from(("p", "q")),
+        st.sampled_from(("p", "q")),
+        traces_st(max_facts=6).filter(lambda tr: tr.scale == 4),
+    )
+    def test_rescaled_bases_match_the_lattice(self, window, b, x, y, tr):
+        # the bound puts 5 or 7 into the evaluator's scale, so both bases
+        # are read at a multiple of the trace's scale
+        f = window(b, Pred(x))
+        got = eval_truth_set(f, tr)
+        base = tr.truth_base(x)
+        # got's ends are sums of base's and b's, so the lattice and the
+        # windows' lattice have one step
+        pts = padded_grid([got, base], [b.lo, b.hi], b.hi + 1)
+        # the window of t: [t - hi, t - lo] looking back, [t + lo, t + hi] ahead
+        lo, hi = (b.lo, b.hi) if window in (DiaPlus, BoxPlus) else (-b.hi, -b.lo)
+        held = exists_in_window if window in (DiaMinus, DiaPlus) else forall_in_window
+        assert members(got, pts) == held(base, pts, lo, hi)
+        assert eval_truth_set(And(f, Pred(y)), tr) == intersect(got, tr.truth_base(y))
 
     @given(formulas_st(max_depth=3, allow_not=True, bounds=bounds_st()), traces_st())
     def test_every_endpoint_handed_out_is_a_fraction(self, f, tr):

@@ -39,7 +39,15 @@ from bmtl.syntax import (
     print_formula,
 )
 from bmtl.traces import Fact, Trace
-from conftest import complement, corrupt_punctual_box, formulas_st, intersect, traces_st, union
+from conftest import (
+    complement,
+    corrupt_punctual_box,
+    formulas_st,
+    intersect,
+    preorder_bounds,
+    traces_st,
+    union,
+)
 
 RULES_AS_SHIPPED = dict(rewrite_module.RULES)
 
@@ -76,6 +84,27 @@ class TestGenerators:
         for i in range(40):
             f = gen_formula(cfg, i, singleton_free=True)
             assert not census(f).has_singleton_bound
+
+    def test_singleton_free_bounds_within_a_small_bound_max(self):
+        # bound_max 1/2 leaves a step of 1/d within it from d = 2 on
+        cfg = GenConfig(seed=11, bound_max=F(1, 2))
+        for i in range(200):
+            for b in preorder_bounds(gen_formula(cfg, i, singleton_free=True)):
+                assert 0 <= b.lo < b.hi <= F(1, 2), (i, b)
+
+    def test_singleton_free_bounds_without_a_legal_denominator(self):
+        # bound_max 1/8 leaves a step of 1/d within it from d = 8 on, past
+        # the default bound_denominator_max of 4
+        cfg = GenConfig(seed=11, bound_max=F(1, 8))
+        refused = 0
+        for i in range(200):
+            try:
+                f = gen_formula(cfg, i, singleton_free=True)
+            except ConfigError:
+                refused += 1
+            else:  # drew no bounded node
+                assert preorder_bounds(f) == [], i
+        assert refused > 0
 
     def test_mitl_box_bounds(self):
         cfg = GenConfig(seed=11)
@@ -285,10 +314,11 @@ class TestCampaigns:
         assert report.trials > 0 and report.empty_regions > 0
         # the oracle checks reuse the truth sets the comparison computed
         assert calls["eval"] == 2 * report.trials
-        # per formula of a compared trial: scope for the region, the
-        # evaluator's scale and the oracle's grid, then the evaluator's
-        # and the oracle's fold; an empty region stops after the first
-        assert calls["fold"] == 10 * report.trials + 2 * report.empty_regions
+        # scope of the conjunction for the region, then per formula of a
+        # compared trial: scope for the evaluator's scale and the oracle's
+        # grid, then the evaluator's and the oracle's fold; an empty
+        # region stops after the first
+        assert calls["fold"] == 9 * report.trials + report.empty_regions
 
     @pytest.mark.parametrize(
         "settings",

@@ -13,7 +13,7 @@ from bmtl.errors import (
     NonpositiveSlackError,
     NotApplicableError,
 )
-from bmtl.evaluate import combined_reliable_region, eval_truth_set
+from bmtl.evaluate import eval_truth_set, reliable_region
 from bmtl.parser import parse_formula
 from bmtl.rewrite import (
     Punctual,
@@ -246,6 +246,6 @@ class TestSemanticEquivalence:
     def test_frozen_pairs_agree_inside_reliable_region(self, text, mode, simple_trace):
         f = parse_formula(text)
         g = normalize(f, mode).output
-        region = combined_reliable_region(simple_trace, f, g)
+        region = reliable_region(And(f, g), simple_trace)
         assert region is not None
         assert eval_truth_set(f, simple_trace, region) == eval_truth_set(g, simple_trace, region)

@@ -16,7 +16,6 @@ from bmtl.errors import (
 )
 from bmtl.evaluate import eval_truth_set
 from bmtl.intervals import Interval, coalesce
-from bmtl.syntax import Pred
 from bmtl.traces import Fact, Trace, format_trace, parse_trace
 from conftest import bounds_st, formulas_st, traces_st
 
@@ -394,24 +393,6 @@ class TestIntegerIngest:
         assert at_ingest <= 4, at_ingest
         assert len(tr.facts) == n
         assert built >= at_ingest + 2 * n
-
-    def test_codes_are_the_truth_bases_times_scale(self):
-        tr = parse_trace("horizon [-1/2,10]\np @ [1/3,2]\np @ [5/4,2]\np @ [2,9/4]\n")
-        assert tr.scale == 12
-        # the closed span [4/12, 27/12] is the run of atoms [2*4, 2*27]
-        assert tr.codes("p") == [8, 54]
-        assert all(type(x) is int for x in tr.codes("p"))
-        assert tr.truth_base("p") == coalesce([Interval(F(1, 3), F(9, 4))])
-        assert tr.codes("q") == []
-
-    def test_codes_are_the_callers_to_mutate(self):
-        tr = parse_trace("horizon [0,10]\np @ [1,2]\np @ [4,5]\n")
-        codes = tr.codes("p")
-        want = list(codes)
-        codes[:] = [0, 20]
-        assert tr.codes("p") == want
-        assert eval_truth_set(Pred("p"), tr) == coalesce(
-            [Interval(F(1), F(2)), Interval(F(4), F(5))])
 
     @settings(max_examples=150)
     @given(traces_st(max_facts=8), formulas_st(max_depth=3, allow_not=True, bounds=bounds_st()))
