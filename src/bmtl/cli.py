@@ -5,15 +5,17 @@ output goes to stdout, diagnostics to stderr.  Exit codes: 0 success
 (and campaigns with zero failures), 1 campaign failures, 2 syntax errors,
 invalid campaign settings (including an oracle grid too large to build)
 and output too large to print, 3 rewrite precondition violations, 4 I/O
-errors (including files that are not UTF-8), 5 a campaign that compared
-no trial, 6 an internal error (an exception that is not a BmtlError: a
-fault in bmtl).
+errors (including files that are not UTF-8, and a stdout that its
+reader closed before the output ended, which exits quietly), 5 a
+campaign that compared no trial, 6 an internal error (an exception that
+is not a BmtlError: a fault in bmtl).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -265,7 +267,15 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     ns = parser.parse_args(argv)
     try:
-        return ns.func(ns)
+        code = ns.func(ns)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early, as `| head` does: not a fault, and
+        # nothing left to report.  Point stdout at devnull so that the
+        # flush at exit finds nothing to fail on
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_IO
     except _UsageError as e:
         return _fail(str(e), EXIT_SYNTAX)
     except _IOFailure as e:

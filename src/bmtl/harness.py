@@ -28,13 +28,13 @@ from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConfigError
+from .errors import ConfigError, FactOutsideHorizonError
 from .evaluate import eval_truth_set, reliable_region
 from .intervals import Interval, IntervalSet, rat
 from .oracle import oracle_first_difference
 from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
 from .syntax import KINDS_BY_NAME, And, Bound, BoxMinus, BoxPlus, Formula, Not, Pred, print_formula
-from .traces import NAME, Fact, Trace, format_trace
+from .traces import NAME, Trace, format_trace
 
 _MASK = (1 << 64) - 1
 
@@ -182,20 +182,32 @@ def gen_formula(
 
 
 def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
-    """Deterministic random trace on the horizon [-L/2, L/2]."""
+    """Deterministic random trace on the horizon [-L/2, L/2].
+
+    Each fact draws its predicate, a denominator d and the ends a/d and
+    b/d with a <= b, both within the horizon.  The draws stay ints: the
+    ends (a, d, b, d) go straight to the trace's conversion core, after
+    the check Trace() would make, done here by cross-multiplication.
+    """
     rng = _stream(cfg.seed, _TAG_TRACE, stream_index)
     half = cfg.horizon_length / 2
-    horizon = Interval(-half, half)
-    facts = []
+    h_num, h_den = half.numerator, half.denominator
+    ends: dict[str, list[tuple[int, int, int, int]]] = {}
+    order = []
     for _ in range(cfg.facts_per_trace):
         name = rng.choice(cfg.predicate_pool)
         d = rng.randint(1, cfg.bound_denominator_max)
-        lo_n = -int(half * d)
-        hi_n = int(half * d)
-        a = rng.randint(lo_n, hi_n)
+        hi_n = h_num * d // h_den
+        a = rng.randint(-hi_n, hi_n)
         b = rng.randint(a, hi_n)
-        facts.append(Fact(name, Interval(Fraction(a, d), Fraction(b, d))))
-    return Trace(horizon, tuple(facts))
+        if not -h_num * d <= a * h_den <= b * h_den <= h_num * d:
+            raise FactOutsideHorizonError(f"fact {name} @ [{Fraction(a, d)},{Fraction(b, d)}] "
+                                          f"lies outside horizon [{-half},{half}]")
+        ends.setdefault(name, []).append((a, d, b, d))
+        order.append(name)
+    tr = Trace.__new__(Trace)
+    tr._build(Interval(-half, half), ends, order)
+    return tr
 
 
 @dataclass(frozen=True)

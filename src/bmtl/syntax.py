@@ -20,7 +20,11 @@ fold(f, step) is the one traversal: iterative and post-order, it calls
 step(node, operand results) once per distinct node, so depth is bounded
 only by memory.  The evaluator, the oracle and the analyses here run on
 it, each dispatching through a dict keyed by node class; scope(f), f's
-reach and bound scale, is the one analysis of its bounds.
+reach and bound scale, is the one analysis of its bounds.  Its memo is
+the node's ``_scope`` slot, filled the first time a scope fold reaches
+the node: an interned node is its own key and never changes, so the
+value cannot go stale, and it dies with the node (Filliâtre & Conchon,
+Type-Safe Modular Hash-Consing, 2006).
 """
 
 from __future__ import annotations
@@ -61,9 +65,10 @@ class Formula:
     table maps each node's key (its class, the id() of each operand, a
     predicate's name, a bound's four ints) to the one live node with it,
     so == and hash are identity, O(1) at any depth, and a copy, a deep
-    copy or an unpickled node is the interned node."""
+    copy or an unpickled node is the interned node.  ``_scope`` is empty
+    until scope fills it."""
 
-    __slots__ = ("__weakref__", "_operands")
+    __slots__ = ("__weakref__", "_operands", "_scope")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} nodes are immutable")
@@ -317,31 +322,41 @@ class Scope(NamedTuple):
 
 
 def _scope_step(node: Formula, kids: list) -> tuple[int, int, int]:
-    """(past, future, scale) of a node, its reach as integers at scale."""
+    """(past, future, scale) of a node, its reach as integers at scale,
+    kept in its _scope slot."""
     side = _LOOKS_TOWARD.get(type(node))
     if side is None and len(kids) < 2:
         # a predicate, true or a negation: no bound and nothing to combine
-        return kids[0] if kids else _NO_SCOPE
-    scales = [s for _, _, s in kids]
-    if side is not None:
-        hi = node.bound.hi
-        scales += (node.bound.lo.denominator, hi.denominator)
-    scale = math.lcm(*scales)
-    reach = [max(k[i] * (scale // k[2]) for k in kids) for i in (0, 1)]
-    if side is not None:
-        reach[side] += hi.numerator * (scale // hi.denominator)
-    return reach[0], reach[1], scale
+        found = kids[0] if kids else _NO_SCOPE
+    else:
+        scales = [s for _, _, s in kids]
+        if side is not None:
+            hi = node.bound.hi
+            scales += (node.bound.lo.denominator, hi.denominator)
+        scale = math.lcm(*scales)
+        reach = [max(k[i] * (scale // k[2]) for k in kids) for i in (0, 1)]
+        if side is not None:
+            reach[side] += hi.numerator * (scale // hi.denominator)
+        found = (reach[0], reach[1], scale)
+    object.__setattr__(node, "_scope", found)
+    return found
 
 
 def scope(f: Formula) -> Scope:
-    """f's reach and bound scale from one fold in integer time.
+    """f's reach and bound scale, from one fold in integer time, or from
+    f's _scope slot once a fold has reached f.
 
     A node's reach is kept at the lcm of the bound denominators below
     it, rescaled by an integer factor where operands meet, and becomes
     Fractions once, at the root.  A subtree shared by several parents,
-    as the mitl box rule shares the box body, is read once.
+    as the mitl box rule shares the box body, is read once.  The fold
+    fills the slot of every node it reaches, so a campaign trial folds
+    once, over the conjunction of its two formulas.
     """
-    past, future, scale = fold(f, _scope_step)
+    try:
+        past, future, scale = f._scope
+    except AttributeError:  # not yet asked: the slot is empty
+        past, future, scale = fold(f, _scope_step)
     return Scope(Fraction(past, scale), Fraction(future, scale), scale)
 
 

@@ -7,7 +7,9 @@ File format, one item per line, ``#`` comments allowed:
     p @ [6,13/2]
     q @ [2,2]
 
-The horizon line must come first.  Fact order is irrelevant; spans for
+The horizon line must come first: a first line that begins with the
+word ``horizon`` but does not parse is a malformed horizon, not a
+missing one.  Fact order is irrelevant; spans for
 the same predicate may overlap and are coalesced into a canonical truth
 base.  Predicates never mentioned have an empty base (closed-world).
 
@@ -33,6 +35,8 @@ malformed.  It builds Fractions only for an error message, which names
 the normalized values (``-04/6`` reads as ``-2/3``).
 ``Trace(horizon, facts)`` checks that the horizon is closed and wide,
 then each fact's containment in fact order, naming the first offender.
+``harness.gen_trace`` hands its int draws straight to the core, after
+checking them in ints as well.
 """
 
 from __future__ import annotations
@@ -178,6 +182,8 @@ def parse_trace(text: str) -> Trace:
         if horizon is None:
             m = _HORIZON_RE.match(line)
             if m is None:
+                if re.match(r"horizon\b", line) and not fact_match(line):
+                    raise ParseError(f"malformed horizon line: {line!r}", lineno)
                 raise MissingHorizonError(
                     "first line must declare the horizon, e.g. 'horizon [-5,10]'", lineno
                 )

@@ -1,8 +1,11 @@
 """Command-line contract: subcommands, exit codes, output stability."""
 
 import json
+import os
+import subprocess
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -253,6 +256,27 @@ class TestEval:
         assert out == ""
         limit = sys.get_int_max_str_digits()
         assert err == f"error: [OUTPUT_TOO_LARGE] a number to print has more than {limit} digits\n"
+
+    def test_stdout_closed_early_exits_4_quietly(self, tmp_path):
+        # a truth set of 20,000 parts, far more text than a pipe buffers:
+        # the reader closes after 10 bytes, as `| head -c 10` does
+        path = tmp_path / "large.txt"
+        path.write_text("horizon [0,80000]\n"
+                        + "".join(f"p @ [{4 * i},{4 * i + 1}]\n" for i in range(20_000)))
+        src = Path(__file__).resolve().parent.parent / "src"
+        child = subprocess.Popen(
+            [sys.executable, "-m", "bmtl", "eval", "--trace", str(path), "(p U[0,1/7] p)"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        try:
+            assert child.stdout.read(10) == b"truth: {[0"
+            child.stdout.close()
+            err = child.stderr.read()
+        finally:
+            code = child.wait(timeout=120)
+        assert code == cli.EXIT_IO == 4
+        assert err == b""
 
     def test_empty_reliable_region_is_null(self, capsys, tmp_path):
         path = tmp_path / "tiny.txt"

@@ -14,6 +14,7 @@ from functools import reduce
 
 import pytest
 
+import bmtl.syntax as syntax_module
 from bmtl.errors import OutputTooLargeError
 from bmtl.evaluate import eval_truth_set
 from bmtl.oracle import oracle_eval_many
@@ -74,6 +75,19 @@ def test_printers_and_analyses():
     assert scope(f) == Scope(F(0), F(0), 1)
     temporal = sum(per_kind(OPERATORS, k) for k in OPERATORS if k not in ("not", "and"))
     assert temporal_nesting(f) == temporal
+
+
+def test_scope_of_a_deep_chain_is_kept_in_its_root(monkeypatch):
+    f = chain(("bplus",), Bound(F(1), F(2)))
+    want = Scope(F(0), F(2 * DEPTH), 1)
+    assert scope(f) == want
+
+    def no_fold(*args):
+        raise AssertionError("scope folded a node it had already reached")
+
+    monkeypatch.setattr(syntax_module, "fold", no_fold)
+    assert scope(f) == want
+    assert scope(f.body.body) == Scope(F(0), F(2 * DEPTH - 4), 1)
 
 
 def test_interned_at_any_depth():

@@ -6,7 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 import bmtl.evaluate as evaluate_module
 import bmtl.harness as harness_module
@@ -56,6 +56,25 @@ def _json_without_time(report) -> str:
     payload = report.to_json()
     payload.pop("wall_time_s")
     return json.dumps(payload, sort_keys=False)
+
+
+def _reference_gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
+    """gen_trace as it was before it drew straight into integer time: the
+    same draws, each fact built as a Fact with Fraction ends and checked
+    by Trace()."""
+    rng = harness_module._stream(cfg.seed, harness_module._TAG_TRACE, stream_index)
+    half = cfg.horizon_length / 2
+    horizon = Interval(-half, half)
+    facts = []
+    for _ in range(cfg.facts_per_trace):
+        name = rng.choice(cfg.predicate_pool)
+        d = rng.randint(1, cfg.bound_denominator_max)
+        lo_n = -int(half * d)
+        hi_n = int(half * d)
+        a = rng.randint(lo_n, hi_n)
+        b = rng.randint(a, hi_n)
+        facts.append(Fact(name, Interval(F(a, d), F(b, d))))
+    return Trace(horizon, tuple(facts))
 
 
 class TestGenerators:
@@ -155,6 +174,22 @@ class TestGenerators:
         for i in range(40):
             f = gen_formula(cfg, i)
             assert parse_formula(print_formula(f)) == f
+
+    @settings(max_examples=300)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        stream_index=st.integers(0, 10**6),
+        horizon_length=st.sampled_from((F(40), F(7, 3), F(37, 3), F(1, 5))),
+        bound_denominator_max=st.integers(1, 8),
+        facts_per_trace=st.integers(0, 12),
+    )
+    def test_traces_equal_the_fact_built_reference(self, seed, stream_index, **drawn):
+        cfg = GenConfig(seed=seed, **drawn)
+        want, got = _reference_gen_trace(cfg, stream_index), gen_trace(cfg, stream_index)
+        assert got == want
+        assert got.scale == want.scale
+        for name in (*cfg.predicate_pool, "absent"):
+            assert got.spans(name) == want.spans(name)
 
     def test_traces_fit_horizon(self):
         cfg = GenConfig(seed=11)
@@ -314,11 +349,11 @@ class TestCampaigns:
         assert report.trials > 0 and report.empty_regions > 0
         # the oracle checks reuse the truth sets the comparison computed
         assert calls["eval"] == 2 * report.trials
-        # scope of the conjunction for the region, then per formula of a
-        # compared trial: scope for the evaluator's scale and the oracle's
-        # grid, then the evaluator's and the oracle's fold; an empty
-        # region stops after the first
-        assert calls["fold"] == 9 * report.trials + report.empty_regions
+        # one scope fold over the conjunction for the region, which fills
+        # the scope slot of both formulas' nodes, so the evaluator's scale
+        # and the oracle's grid read it; then per formula the evaluator's
+        # and the oracle's fold.  An empty region stops after the first
+        assert calls["fold"] == 5 * report.trials + report.empty_regions
 
     @pytest.mark.parametrize(
         "settings",

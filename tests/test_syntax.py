@@ -1,14 +1,17 @@
 """Formula AST: bounds, printing, parsing round-trips, census, scope."""
 
+import gc
 import math
 import sys
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
+import bmtl.syntax as syntax_module
 from bmtl.errors import InvertedBoundError, NegativeBoundError, ParseError
 from bmtl.parser import MAX_PAREN_DEPTH, parse_formula
+from bmtl.rewrite import SingletonFree, normalize
 from bmtl.syntax import (
     And,
     Bound,
@@ -31,7 +34,7 @@ from bmtl.syntax import (
     scope,
     temporal_nesting,
 )
-from conftest import bound_lcm, formulas_st, preorder_bounds, reference_reach
+from conftest import bound_lcm, formulas_st, mitl_box_bounds_st, preorder_bounds, reference_reach
 
 
 class TestBound:
@@ -158,9 +161,28 @@ class TestStructure:
     def test_negation_detected(self):
         assert not is_negation_free(And(Pred("p"), Not(Pred("q"))))
 
-    @given(formulas_st(max_depth=4, allow_not=True))
-    def test_scope_matches_references(self, f):
-        assert scope(f) == Scope(*reference_reach(f), bound_lcm(f))
+    @given(
+        st.one_of(
+            formulas_st(max_depth=4, allow_not=True),
+            # the mitl box rule shares the box body between two conjuncts
+            formulas_st(max_depth=3, bounds=mitl_box_bounds_st()).map(
+                lambda f: normalize(f, SingletonFree(F(1, 2), F(1))).output),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_scope_matches_references(self, f, rng):
+        # ask for the root and every distinct subterm in a drawn order: the
+        # first ask folds and fills the slots below, later asks read them
+        subterms, todo = {}, [f]
+        while todo:
+            node = todo.pop()
+            if id(node) not in subterms:
+                subterms[id(node)] = node
+                todo.extend(children(node))
+        asked = list(subterms.values())
+        rng.shuffle(asked)
+        for node in asked:
+            assert scope(node) == Scope(*reference_reach(node), bound_lcm(node))
 
     def test_scope_reads_a_shared_subtree_once(self):
         # every level uses the level below twice: 2**60 root-to-leaf paths
@@ -251,6 +273,23 @@ class TestScope:
             DiaPlus(Bound(F(0), F(5, 6)), Not(Pred("q"))),
         )
         assert scope(f) == Scope(F(7, 6), F(5, 6), 12)
+
+    def test_a_node_interned_again_is_folded_afresh(self, monkeypatch):
+        def build(hi):
+            return DiaPlus(Bound(F(1, 3), hi), Since(Pred("fresh"), Bound(F(0), F(5)), Pred("q")))
+
+        assert scope(build(F(2, 3))) == Scope(F(5), F(2, 3), 3)
+        gc.collect()  # that node is gone, and its slot with it
+        folds = []
+        real = syntax_module.fold
+        monkeypatch.setattr(syntax_module, "fold", lambda f, step: folds.append(f) or real(f, step))
+        again = build(F(2, 3))
+        assert scope(again) == Scope(F(5), F(2, 3), 3)
+        assert folds == [again]
+        # other shapes, built while the dead node's memory is free for reuse
+        others = {k: build(F(k, 3)) for k in range(3, 300)}
+        for k, node in others.items():
+            assert scope(node) == Scope(F(5), F(k, 3), 3)
 
     @given(formulas_st(max_depth=4, allow_not=True))
     def test_reach_nonnegative_and_bounded_by_sum(self, f):

@@ -74,6 +74,16 @@ class TestTextFormat:
         with pytest.raises(MissingHorizonError):
             parse_trace("p @ [0,1]\n")
 
+    def test_malformed_horizon_is_not_a_missing_one(self):
+        with pytest.raises(ParseError) as exc:
+            parse_trace("horizon [0,1e1]\np @ [0,1]\n")
+        assert type(exc.value) is ParseError
+        assert exc.value.code == "SYNTAX_ERROR" and exc.value.line == 1
+        assert "malformed horizon line: 'horizon [0,1e1]'" in str(exc.value)
+        # a fact of a predicate named horizon declares no horizon
+        with pytest.raises(MissingHorizonError):
+            parse_trace("horizon @ [0,1]\n")
+
     def test_duplicate_horizon(self):
         with pytest.raises(ParseError):
             parse_trace("horizon [0,10]\nhorizon [0,5]\n")
@@ -178,6 +188,8 @@ def _reference_parse_trace(text):
         if horizon is None:
             m = _REF_HORIZON_RE.match(line)
             if m is None:
+                if re.match(r"horizon\b", line) and not _REF_FACT_RE.match(line):
+                    raise ParseError(f"malformed horizon line: {line!r}", lineno)
                 raise MissingHorizonError(
                     "first line must declare the horizon, e.g. 'horizon [-5,10]'", lineno
                 )
@@ -289,6 +301,8 @@ _BROKEN_HORIZONS = (
     "horizon [4,-04/6]",
     "p @ [0,1]",
     "horizon",
+    "horizon [0,1e1]",
+    "horizon @ [0,1]",
     "# nothing",
 )
 
