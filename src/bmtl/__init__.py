@@ -35,8 +35,8 @@ from .harness import (
     gen_trace,
     run_campaign,
 )
-from .intervals import EMPTY, Interval, IntervalSet, coalesce, from_interval, make_interval, rat
-from .oracle import oracle_eval_at, oracle_eval_many, oracle_first_difference
+from .intervals import Interval, IntervalSet, coalesce, rat
+from .oracle import oracle_eval_many, oracle_first_difference
 from .parser import parse_formula
 from .rewrite import (
     Punctual,
@@ -67,11 +67,9 @@ from .syntax import (
     Until,
     census,
     children,
-    is_negation_free,
     print_formula,
     s_expression,
     scope,
-    temporal_nesting,
 )
 from .traces import Fact, Trace, format_trace, parse_trace
 

@@ -24,9 +24,9 @@ from __future__ import annotations
 import random
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import ConfigError, FactOutsideHorizonError
 from .evaluate import eval_truth_set, reliable_region
@@ -210,8 +210,7 @@ def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
     return tr
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of one comparison.  ``truths`` holds the two truth sets,
     clipped to the region, unless the region is empty."""
 
@@ -258,8 +257,7 @@ def check_equivalence(f1: Formula, f2: Formula, tr: Trace) -> Verdict:
     )
 
 
-@dataclass(frozen=True)
-class TrialFailure:
+class TrialFailure(NamedTuple):
     trial: int
     kind: str  # "mismatch" | "oracle_mismatch"
     formula: str
@@ -269,7 +267,7 @@ class TrialFailure:
     witness: Optional[str] = None
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 @dataclass

@@ -3,8 +3,9 @@
 Sets of time points are kept in a canonical form: a sorted tuple of
 pairwise disjoint, non-adjacent intervals with per-endpoint open/closed
 flags.  Canonical form is unique, so structural equality coincides with
-point-set equality.  The public constructors coerce endpoints to
-``fractions.Fraction``; floats never enter the core.
+point-set equality.  The public constructors coerce int endpoints to
+``fractions.Fraction`` and refuse anything not rational, so floats never
+enter the core.
 
 Every set operation runs on atom codes.  At a scale L that clears every
 denominator in sight, time splits into atoms: the points x/L and the
@@ -31,6 +32,7 @@ the one decode; no bmtl module but this one and that one sees them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -39,8 +41,13 @@ RationalLike = Union[Fraction, int]
 
 
 def rat(x: RationalLike) -> Fraction:
-    """Coerce an int to Fraction; Fractions pass through unchanged."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """Coerce an int to Fraction; Fractions pass through unchanged.
+    Anything not rational, a float included, is a TypeError."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, numbers.Rational):
+        return Fraction(x)
+    raise TypeError(f"expected an int or a Fraction, got {x!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -87,16 +94,6 @@ class Interval:
         lb = "[" if self.lo_closed else "("
         rb = "]" if self.hi_closed else ")"
         return f"{lb}{self.lo},{self.hi}{rb}"
-
-
-def make_interval(
-    lo: RationalLike, hi: RationalLike, lo_closed: bool = True, hi_closed: bool = True
-) -> Optional[Interval]:
-    """Build an interval, collapsing empty results to None."""
-    lo, hi = rat(lo), rat(hi)
-    if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-        return None
-    return Interval(lo, hi, lo_closed, hi_closed)
 
 
 # ------------------------------------------------------------------ kernel
@@ -242,9 +239,6 @@ class IntervalSet:
         return "{" + ", ".join(str(p) for p in self.parts) + "}"
 
 
-EMPTY = IntervalSet()
-
-
 def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
     """Canonicalize a raw collection of intervals (Nones are dropped), in
     any order: their codes at the lcm of their ends' denominators, sorted
@@ -253,10 +247,6 @@ def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
     scale = _scale(parts)
     it = iter(encode(parts, scale))
     return decode(fuse_runs(sorted(zip(it, it))), scale)
-
-
-def from_interval(p: Interval) -> IntervalSet:
-    return IntervalSet((p,))
 
 
 def scaled_value(x: RationalLike, scale: int) -> int:

@@ -99,11 +99,6 @@ def _bind_numpy() -> None:
         np = numpy
 
 
-def oracle_eval_at(f: Formula, tr: Trace, t) -> bool:
-    """Truth of f at a single point of the horizon."""
-    return oracle_eval_many(f, tr, [t])[0]
-
-
 def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
     """Truth of f at each point; the sample grid is built once."""
     pts = [rat(p) for p in points]

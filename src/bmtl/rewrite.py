@@ -130,8 +130,7 @@ def _from_path(rule: str, path: tuple[int, ...], kappa, lam) -> RuleApplication:
     return RuleApplication(rule, link, kappa, lam)
 
 
-@dataclass(frozen=True)
-class RewriteReport:
+class RewriteReport(NamedTuple):
     input: Formula
     output: Formula
     applied: tuple[RuleApplication, ...]

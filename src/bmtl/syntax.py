@@ -266,13 +266,6 @@ class Census(NamedTuple):
     has_singleton_bound: bool = False
     max_depth: int = 0
 
-    @property
-    def size(self) -> int:
-        return sum(self.counts.values())
-
-    def operators(self) -> set[str]:
-        return {k for k, v in self.counts.items() if v > 0}
-
 
 def census(f: Formula) -> Census:
     """Count node kinds, flag singleton bounds, measure nesting depth.
@@ -295,10 +288,6 @@ def census(f: Formula) -> Census:
         return counts, singleton, depth
 
     return Census(*fold(f, step))
-
-
-def is_negation_free(f: Formula) -> bool:
-    return fold(f, lambda node, kids: type(node) is not Not and all(kids))
 
 
 # the side each temporal operator looks toward: 0 the past, 1 the future
@@ -358,8 +347,3 @@ def scope(f: Formula) -> Scope:
     except AttributeError:  # not yet asked: the slot is empty
         past, future, scale = fold(f, _scope_step)
     return Scope(Fraction(past, scale), Fraction(future, scale), scale)
-
-
-def temporal_nesting(f: Formula) -> int:
-    """Maximum number of temporal operators on any root-to-leaf path."""
-    return fold(f, lambda node, kids: KINDS[type(node)].bounded + max(kids, default=0))

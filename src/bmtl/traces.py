@@ -16,13 +16,17 @@ base.  Predicates never mentioned have an empty base (closed-world).
 Traces live in integer time, in one form: the horizon as a Fraction
 interval, a ``scale`` (the lcm of the denominators of the horizon and
 the facts), each predicate's fact ends times scale as ints, and the
-predicate of each fact in fact order.  Every reader takes those ends
-through :meth:`Trace.spans`, unfused and uncopied: the evaluator fuses
-them into atom codes at its own scale, a multiple of this one (see
-:mod:`bmtl.evaluate`), and the oracle samples them on its grid.  The
-other views are computed on each read and nothing is cached:
-:meth:`Trace.truth_base` coalesces the spans as Fractions, and
-``facts`` builds them in fact order.
+predicate of each fact in fact order.  Every other module takes those
+ends through :meth:`Trace.spans`, unfused and uncopied: the evaluator
+fuses them into atom codes at its own scale, a multiple of this one
+(see :mod:`bmtl.evaluate`), and the oracle samples them on its grid.
+Equality and hash read the spans too, and build no Fact and no
+Fraction: ``_build`` reduces scale to the lcm of the reduced
+denominators, so equal facts in equal order give equal ints.
+``format_trace`` renders from the spans as well.  The other views are
+computed on each read and nothing is cached: :meth:`Trace.truth_base`
+coalesces the spans as Fractions, and ``facts`` builds them in fact
+order.
 
 One core, ``Trace._build``, turns ends given as (p, q, r, s) for
 [p/q, r/s] into that form: the lcm, one factor per denominator, and the
@@ -46,7 +50,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
 from .intervals import Interval, IntervalSet, coalesce
@@ -117,16 +121,18 @@ class Trace:
                 e[:] = [v // surplus for v in e]
         self.horizon, self.scale, self._spans, self._order = horizon, scale, spans, order
 
+    def _in_order(self) -> Iterator[tuple[str, int, int]]:
+        """Each fact's predicate and ends times scale, in fact order."""
+        ends = {name: zip(los, his) for name, (los, his) in self._spans.items()}
+        for name in self._order:
+            yield (name, *next(ends[name]))
+
     @property
     def facts(self) -> tuple[Fact, ...]:
         """The facts in order, as Fractions, built anew on each read."""
         scale = self.scale
-        ends = {name: zip(los, his) for name, (los, his) in self._spans.items()}
-        facts = []
-        for name in self._order:
-            lo, hi = next(ends[name])
-            facts.append(Fact(name, Interval(Fraction(lo, scale), Fraction(hi, scale))))
-        return tuple(facts)
+        return tuple(Fact(name, Interval(Fraction(lo, scale), Fraction(hi, scale)))
+                     for name, lo, hi in self._in_order())
 
     def truth_base(self, predicate: str) -> IntervalSet:
         """Coalesced set of times at which the predicate is true."""
@@ -143,10 +149,13 @@ class Trace:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
             return NotImplemented
-        return self.horizon == other.horizon and self.facts == other.facts
+        return (self.horizon == other.horizon and self.scale == other.scale
+                and self._order == other._order and self._spans == other._spans)
 
     def __hash__(self) -> int:
-        return hash((self.horizon, self.facts))
+        # equal orders put the predicates in _spans in the same order
+        return hash((self.horizon, self.scale, tuple(self._order),
+                     *(tuple(ends) for pair in self._spans.values() for ends in pair)))
 
     def __repr__(self) -> str:
         return f"Trace(horizon={self.horizon!r}, facts={self.facts!r})"
@@ -222,7 +231,16 @@ def parse_trace(text: str) -> Trace:
     return tr
 
 
+def _ratio_text(v: int, scale: int) -> str:
+    """v / scale as str(Fraction(v, scale)) spells it, with no Fraction built."""
+    g = math.gcd(v, scale)
+    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
+
+
 def format_trace(tr: Trace) -> str:
+    """The trace's text, its facts in order, read from the spans."""
+    scale = tr.scale
     lines = [f"horizon [{tr.horizon.lo},{tr.horizon.hi}]"]
-    lines += [f"{f.predicate} @ [{f.span.lo},{f.span.hi}]" for f in tr.facts]
+    lines += [f"{name} @ [{_ratio_text(lo, scale)},{_ratio_text(hi, scale)}]"
+              for name, lo, hi in tr._in_order()]
     return "\n".join(lines) + "\n"

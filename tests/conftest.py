@@ -39,6 +39,7 @@ from bmtl.syntax import (
     Top,
     Until,
     children,
+    fold,
 )
 from bmtl.traces import Fact, Trace
 
@@ -221,6 +222,11 @@ def reference_reach(f) -> tuple[Fraction, Fraction]:
     elif name in _FUTURE_KINDS:
         future += f.bound.hi
     return past, future
+
+
+def temporal_nesting(f) -> int:
+    """Most temporal operators on any root-to-leaf path, by one fold."""
+    return fold(f, lambda node, kids: KINDS[type(node)].bounded + max(kids, default=0))
 
 
 @st.composite

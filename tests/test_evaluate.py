@@ -11,7 +11,7 @@ from bmtl.evaluate import (
     eval_truth_set,
     reliable_region,
 )
-from bmtl.intervals import EMPTY, Interval, IntervalSet, coalesce, decode, encode, from_interval
+from bmtl.intervals import Interval, IntervalSet, coalesce, decode, encode
 from bmtl.syntax import (
     And,
     Bound,
@@ -67,7 +67,7 @@ class TestFrozenValues:
         assert eval_truth_set(f, simple_trace) == coalesce([Interval(F(4), F(6))])
 
     def test_top_is_horizon(self, simple_trace):
-        assert eval_truth_set(Top(), simple_trace) == from_interval(simple_trace.horizon)
+        assert eval_truth_set(Top(), simple_trace) == IntervalSet((simple_trace.horizon,))
 
     def test_not_complements_within_horizon(self, simple_trace):
         f = Not(Pred("p"))
@@ -212,9 +212,9 @@ class TestSharedRegion:
 def _reference_binary_clause(holds, witness, shift_lo, shift_hi):
     """The clause as first written: one scan of every witness part and one
     union per part of holds (quadratic, kept as the reference)."""
-    out = EMPTY
+    out = IntervalSet()
     for part in holds.parts:
-        j = from_interval(part)
+        j = IntervalSet((part,))
         inside = intersect(j, witness)
         if inside.parts:
             out = union(out, intersect(shifted(inside, shift_lo, shift_hi), j))
@@ -319,7 +319,7 @@ def _reference_eval_truth_set(f, tr):
     and the bounds as they are, each operation at the lcm of its own
     operands, with since/until by the per-part reference (kept as the
     reference)."""
-    horizon = from_interval(tr.horizon)
+    horizon = IntervalSet((tr.horizon,))
     clauses = {
         Pred: lambda n, k: tr.truth_base(n.name),
         Top: lambda n, k: horizon,

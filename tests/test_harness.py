@@ -23,7 +23,7 @@ from bmtl.harness import (
     run_campaign,
 )
 from bmtl.evaluate import eval_truth_set
-from bmtl.intervals import Interval, from_interval, fuse_runs
+from bmtl.intervals import Interval, IntervalSet, fuse_runs
 from bmtl.parser import parse_formula
 from bmtl.rewrite import Punctual, SingletonFree
 from bmtl.syntax import (
@@ -35,7 +35,6 @@ from bmtl.syntax import (
     Pred,
     Top,
     census,
-    is_negation_free,
     print_formula,
 )
 from bmtl.traces import Fact, Trace
@@ -96,7 +95,7 @@ class TestGenerators:
     def test_generated_formulas_are_negation_free(self):
         cfg = GenConfig(seed=11)
         for i in range(40):
-            assert is_negation_free(gen_formula(cfg, i))
+            assert "not" not in census(gen_formula(cfg, i)).counts
 
     def test_singleton_free_generation(self):
         cfg = GenConfig(seed=11)
@@ -248,8 +247,8 @@ class TestCheckEquivalence:
             return
         region = verdict.region
         s1, s2 = verdict.truths
-        assert s1 == intersect(eval_truth_set(f1, tr), from_interval(region))
-        assert s2 == intersect(eval_truth_set(f2, tr), from_interval(region))
+        assert s1 == intersect(eval_truth_set(f1, tr), IntervalSet((region,)))
+        assert s2 == intersect(eval_truth_set(f2, tr), IntervalSet((region,)))
         diff = union(intersect(s1, complement(s2, region)), intersect(s2, complement(s1, region)))
         if verdict.status == "equal":
             assert diff.parts == ()

@@ -1,26 +1,28 @@
 """Interval-set algebra: frozen examples, lattice-oracle properties, laws."""
 
 import math
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 
+from bmtl.harness import GenConfig
 from bmtl.intervals import (
-    EMPTY,
     Interval,
     IntervalSet,
     coalesce,
     complement_codes,
     decode,
     encode,
-    from_interval,
     fuse_runs,
     intersect_codes,
-    make_interval,
     scaled_value,
     shift_codes,
 )
+from bmtl.rewrite import SingletonFree
+from bmtl.syntax import Bound
 from conftest import (
     complement,
     fractions_st,
@@ -101,11 +103,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             Interval(F(1), F(1), True, False)
 
-    def test_make_interval_collapses_empty(self):
-        assert make_interval(F(2), F(1)) is None
-        assert make_interval(F(1), F(1), True, False) is None
-        assert make_interval(F(1), F(1)) == Interval(F(1), F(1))
-
     def test_noncanonical_parts_rejected(self):
         with pytest.raises(ValueError):
             IntervalSet((Interval(F(0), F(2)), Interval(F(1), F(3))))
@@ -182,7 +179,7 @@ class TestAgainstLatticeOracle:
     def test_coalesce_preserves_pointwise_membership(self, raw):
         got = coalesce(raw)
         assert_canonical(got)
-        pts = padded_grid([got] + [from_interval(p) for p in raw], [], F(1))
+        pts = padded_grid([got] + [IntervalSet((p,)) for p in raw], [], F(1))
         assert members(got, pts) == members(raw, pts)
 
 
@@ -196,7 +193,7 @@ class TestLaws:
         if lo == hi:
             hi = lo + 1
         universe = Interval(lo, hi)
-        clipped = intersect(s, from_interval(universe))
+        clipped = intersect(s, IntervalSet((universe,)))
         assert complement(complement(s, universe), universe) == clipped
 
     @given(interval_sets_st(), interval_sets_st(), interval_sets_st())
@@ -212,13 +209,13 @@ class TestLaws:
 
     @given(interval_sets_st())
     def test_empty_interactions(self, s):
-        assert intersect(s, EMPTY) == EMPTY
-        assert union(s, EMPTY) == s
-        assert shifted(EMPTY, F(0), F(5)) == EMPTY
+        assert intersect(s, IntervalSet()) == IntervalSet()
+        assert union(s, IntervalSet()) == s
+        assert shifted(IntervalSet(), F(0), F(5)) == IntervalSet()
 
     @given(intervals_st())
     def test_contains_point_respects_endpoint_closure(self, p):
-        s = from_interval(p)
+        s = IntervalSet((p,))
         assert s.contains_point(p.lo) == p.lo_closed
         assert s.contains_point(p.hi) == p.hi_closed
         if p.lo < p.hi:
@@ -274,7 +271,7 @@ class TestIntegerTime:
 
     def test_coalesce_orders_tied_starts_closed_first(self):
         raw = [Interval(F(1, 7), F(2), False, True), Interval(F(2, 14), F(2, 14))]
-        assert coalesce(raw) == from_interval(Interval(F(1, 7), F(2)))
+        assert coalesce(raw) == IntervalSet((Interval(F(1, 7), F(2)),))
 
     @settings(max_examples=300)
     @given(st.one_of(interval_sets_st(), st.lists(_mixed_intervals(), max_size=8).map(coalesce)))
@@ -305,7 +302,7 @@ class TestIntegerTime:
         assert iset(left, one) == iset(Interval(0, 1, False, True))
         assert iset(one, right) == iset(Interval(1, 2, True, False))
         assert iset(left, one, right) == iset(Interval(0, 2, False, False))
-        assert complement(from_interval(one), Interval(0, 2)) == IntervalSet(
+        assert complement(IntervalSet((one,)), Interval(0, 2)) == IntervalSet(
             (Interval(0, 1, True, False), Interval(1, 2, False, True))
         )
         assert complement(iset(left, right), Interval(0, 2)) == iset(
@@ -313,7 +310,7 @@ class TestIntegerTime:
         )
         # eroding by a zero-width window keeps the singleton, dilating
         # by a unit one closes both gaps over it
-        assert shifted(from_interval(one), 0, 0) == from_interval(one)
+        assert shifted(IntervalSet((one,)), 0, 0) == IntervalSet((one,))
         assert shifted(iset(left, right), 0, 1) == iset(Interval(0, 3, False, False))
 
     def test_kernel_stays_integer(self):
@@ -346,5 +343,17 @@ class TestIntegerTime:
             scaled_value(F(5, 6), 9)
 
     def test_public_constructors_still_coerce_to_fraction(self):
-        for p in (Interval(0, 3), make_interval(1, 2)):
+        for p in (Interval(0, 3), Interval(1, 2, False, False), Bound(1, 2)):
             assert type(p.lo) is F and type(p.hi) is F
+
+    @pytest.mark.parametrize("build", [
+        lambda x: Interval(x, 1),
+        lambda x: Bound(x, 1),
+        lambda x: GenConfig(bound_max=x),
+        lambda x: SingletonFree(kappa=x),
+    ], ids=["Interval", "Bound", "GenConfig", "SingletonFree"])
+    @pytest.mark.parametrize("value", [0.1, 0.5, "1/2", Decimal("0.5")],
+                             ids=["float", "exact_float", "str", "decimal"])
+    def test_public_constructors_refuse_what_is_not_rational(self, build, value):
+        with pytest.raises(TypeError, match=re.escape(repr(value))):
+            build(value)

@@ -7,14 +7,18 @@ must agree, with no oracle and so no grid limit.
   monotonicity  for a negation-free formula, adding facts inside the
                 horizon never removes a point from the truth set (the
                 premise the paper's reduction rests on)
+  scaling       multiplying every time and every bound by c > 0
+                multiplies the truth set by c; c in {2, 3/2, 5/7, 37/3}
+                changes the scale, and with it the width of an atom
 """
 
 from fractions import Fraction as F
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bmtl.evaluate import eval_truth_set
-from bmtl.intervals import Interval
+from bmtl.intervals import Interval, IntervalSet
+from bmtl.syntax import KINDS, And, Bound, Not, Pred, fold, replace_children
 from bmtl.traces import Fact, Trace
 from conftest import formulas_st, intersect, shifted, traces_st
 
@@ -25,6 +29,26 @@ def _moved(tr: Trace, d: F) -> Trace:
     horizon = Interval(tr.horizon.lo + d, tr.horizon.hi + d)
     facts = [Fact(f.predicate, Interval(f.span.lo + d, f.span.hi + d)) for f in tr.facts]
     return Trace(horizon, tuple(facts))
+
+
+def _times(p: Interval, c: F) -> Interval:
+    return Interval(p.lo * c, p.hi * c, p.lo_closed, p.hi_closed)
+
+
+def _stretched(tr: Trace, c: F) -> Trace:
+    facts = [Fact(f.predicate, _times(f.span, c)) for f in tr.facts]
+    return Trace(_times(tr.horizon, c), tuple(facts))
+
+
+def _stretched_bounds(f, c: F):
+    """f with every bound end times c."""
+    def step(node, kids):
+        bound = getattr(node, "bound", None)
+        if bound is None:
+            return replace_children(node, tuple(kids))
+        return KINDS[type(node)].make(kids, Bound(bound.lo * c, bound.hi * c))
+
+    return fold(f, step)
 
 
 @st.composite
@@ -44,6 +68,19 @@ def _facts_inside(draw, horizon: Interval):
 @given(formulas_st(max_depth=3, allow_not=True), traces_st(), _37THS)
 def test_translation_moves_the_truth_set(f, tr, d):
     assert eval_truth_set(f, _moved(tr, d)) == shifted(eval_truth_set(f, tr), d, d)
+
+
+@settings(max_examples=200)
+@given(formulas_st(max_depth=3, allow_not=True), traces_st(),
+       st.sampled_from((F(2), F(3, 2), F(5, 7), F(37, 3))))
+# p & !q is the gap (0,1), one atom at scale 1 and many once stretched
+@example(And(Pred("p"), Not(Pred("q"))),
+         Trace(Interval(0, 2), (Fact("p", Interval(0, 1)), Fact("q", Interval(0, 0)),
+                                Fact("q", Interval(1, 1)))),
+         F(3, 2))
+def test_scaling_time_scales_the_truth_set(f, tr, c):
+    got = eval_truth_set(_stretched_bounds(f, c), _stretched(tr, c))
+    assert got == IntervalSet(tuple(_times(p, c) for p in eval_truth_set(f, tr)))
 
 
 @settings(max_examples=150)

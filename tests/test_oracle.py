@@ -33,12 +33,11 @@ from bmtl.errors import (
     PointOutsideHorizonError,
 )
 from bmtl.evaluate import eval_truth_set, reliable_region
-from bmtl.intervals import Interval, coalesce, make_interval
+from bmtl.intervals import Interval, coalesce
 from bmtl.oracle import (
     _ARRAYS,
     _TruthTable,
     _sample_grid,
-    oracle_eval_at,
     oracle_eval_many,
     oracle_first_difference,
 )
@@ -323,24 +322,24 @@ def small_traces(draw):
 class TestFrozenValues:
     def test_witness_inside_window(self, simple_trace):
         f = DiaMinus(Bound(F(1), F(2)), Pred("p"))
-        assert oracle_eval_at(f, simple_trace, F(6)) is True
-        assert oracle_eval_at(f, simple_trace, F(13, 2)) is False
+        assert oracle_eval_many(f, simple_trace, [F(6)])[0] is True
+        assert oracle_eval_many(f, simple_trace, [F(13, 2)])[0] is False
 
     def test_universal_window_hits_horizon_edge(self):
         tr = Trace(Interval(F(0), F(10)), ())
         f = BoxPlus(Bound(F(0), F(2)), Top())
-        assert oracle_eval_at(f, tr, F(8)) is True
-        assert oracle_eval_at(f, tr, F(9)) is False
+        assert oracle_eval_many(f, tr, [F(8)])[0] is True
+        assert oracle_eval_many(f, tr, [F(9)])[0] is False
 
     def test_point_outside_horizon_rejected(self, simple_trace):
         with pytest.raises(PointOutsideHorizonError):
-            oracle_eval_at(Pred("p"), simple_trace, F(16))
+            oracle_eval_many(Pred("p"), simple_trace, [F(16)])
 
     def test_many_matches_single(self, simple_trace):
         f = Until(Pred("p"), Bound(F(1), F(2)), Pred("q"))
         pts = [F(0), F(1), F(3, 2), F(3), F(4)]
         assert oracle_eval_many(f, simple_trace, pts) == [
-            oracle_eval_at(f, simple_trace, p) for p in pts
+            oracle_eval_many(f, simple_trace, [p])[0] for p in pts
         ]
 
 
@@ -420,9 +419,9 @@ class TestFirstDifference:
             i = data.draw(st.integers(0, len(parts) - 1))
             p = parts.pop(i)
             move = data.draw(st.sampled_from(("drop", "flip lo", "flip hi")))
-            if move != "drop":
+            if move != "drop" and p.lo < p.hi:  # a flipped singleton is empty
                 flip_lo = move == "flip lo"
-                parts.append(make_interval(
+                parts.append(Interval(
                     p.lo, p.hi, p.lo_closed ^ flip_lo, p.hi_closed ^ (not flip_lo)))
         truth = coalesce(parts)
         got = oracle_first_difference(f, tr, truth, region)
@@ -455,7 +454,7 @@ class TestAgainstNaiveReference:
             )
         )
         t = F(numer, 2)
-        assert oracle_eval_at(f, tr, t) == naive_eval(f, tr, t)
+        assert oracle_eval_many(f, tr, [t])[0] == naive_eval(f, tr, t)
 
     @settings(max_examples=80, deadline=None)
     @given(small_formulas(), small_traces(), st.data())
@@ -466,7 +465,7 @@ class TestAgainstNaiveReference:
             )
         )
         t = F(numer, 4)
-        assert oracle_eval_at(f, tr, t) == eval_truth_set(f, tr).contains_point(t)
+        assert oracle_eval_many(f, tr, [t])[0] == eval_truth_set(f, tr).contains_point(t)
 
 
 def _bool_rows(n: int):
@@ -604,7 +603,7 @@ class TestGridLimits:
         tr = Trace(Interval(F(0), F(100)), ())
         f = DiaPlus(Bound(F(0), F(1, 1_000_003)), Top())
         with pytest.raises(OracleGridError) as info:
-            oracle_eval_at(f, tr, F(1))
+            oracle_eval_many(f, tr, [F(1)])
         assert isinstance(info.value, BmtlError)
         assert isinstance(info.value, MemoryError)
         assert info.value.code == "ORACLE_GRID_TOO_FINE"
@@ -613,7 +612,7 @@ class TestGridLimits:
         # a tiny grid, but its scaled ends pass 2**62
         tr = Trace(Interval(2**61, 2**61 + 1), ())
         with pytest.raises(OracleGridError) as info:
-            oracle_eval_at(Pred("p"), tr, 2**61)
+            oracle_eval_many(Pred("p"), tr, [2**61])
         assert isinstance(info.value, BmtlError)
         assert isinstance(info.value, OracleGridRangeError)
         assert info.value.code == "ORACLE_GRID_OUT_OF_RANGE"
@@ -629,7 +628,7 @@ class TestGridLimits:
         monkeypatch.setattr(oracle_module, "np", None)
         monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
         with pytest.raises(NumpyMissingError) as info:
-            oracle_eval_at(Pred("p"), simple_trace, F(1))
+            oracle_eval_many(Pred("p"), simple_trace, [F(1)])
         assert isinstance(info.value, BmtlError)
         assert info.value.code == "NUMPY_MISSING"
         assert "numpy" in str(info.value)
@@ -650,6 +649,6 @@ class TestSharedSubtrees:
         times = []
         for _ in range(3):
             start = time.perf_counter()
-            oracle_eval_at(g, tr, F(5))
+            oracle_eval_many(g, tr, [F(5)])
             times.append(time.perf_counter() - start)
         assert min(times) < 0.1, times

@@ -408,6 +408,27 @@ class TestIntegerIngest:
         assert len(tr.facts) == n
         assert built >= at_ingest + 2 * n
 
+    def test_equality_and_hash_build_no_fact_and_no_fraction(self, monkeypatch):
+        n = 2000
+        lines = ["horizon [-1,5000]"] + [
+            f"{'pqr'[i % 3]} @ [{2 * i}/3,{6 * i + 1}/3]" for i in range(n)
+        ]
+        text = "\n".join(lines)
+        a, b = parse_trace(text), parse_trace(text)
+        moved = parse_trace(text.replace("p @ [0/3,", "p @ [1/3,", 1))
+        built = []
+        original = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            built.append(args)
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        monkeypatch.setattr(Fact, "__post_init__", lambda fact: built.append(fact))
+        assert a == b and hash(a) == hash(b)
+        assert a != moved
+        assert built == []
+
     @settings(max_examples=150)
     @given(traces_st(max_facts=8), formulas_st(max_depth=3, allow_not=True, bounds=bounds_st()))
     def test_parsed_and_fact_built_traces_evaluate_alike(self, tr, f):
@@ -416,3 +437,45 @@ class TestIntegerIngest:
         assert parsed == built == tr
         assert hash(parsed) == hash(built)
         assert eval_truth_set(f, parsed) == eval_truth_set(f, built) == eval_truth_set(f, tr)
+
+
+# ------------------------------------------------------- equality and text
+
+
+def _reference_format_trace(tr):
+    """format_trace as it was, rendering each Fact's Fraction ends."""
+    lines = [f"horizon [{tr.horizon.lo},{tr.horizon.hi}]"]
+    lines += [f"{f.predicate} @ [{f.span.lo},{f.span.hi}]" for f in tr.facts]
+    return "\n".join(lines) + "\n"
+
+
+def _unreduced_text(tr, k):
+    """tr's text with every end n/d written as (k n)/(k d)."""
+    def spell(lo, hi):
+        return ",".join(f"{x.numerator * k}/{x.denominator * k}" for x in (lo, hi))
+
+    lines = [f"horizon [{spell(tr.horizon.lo, tr.horizon.hi)}]"]
+    lines += [f"{f.predicate} @ [{spell(f.span.lo, f.span.hi)}]" for f in tr.facts]
+    return "\n".join(lines) + "\n"
+
+
+class TestEquality:
+    @settings(max_examples=300)
+    @given(traces_st(max_facts=6), traces_st(max_facts=6), st.data())
+    def test_equal_exactly_when_horizon_and_facts_in_order_are(self, a, b, data):
+        # b is an independent draw, a's facts rebuilt, or a's facts reordered
+        how = data.draw(st.sampled_from(("drawn", "rebuilt", "reordered")))
+        if how == "rebuilt":
+            b = Trace(a.horizon, a.facts)
+        elif how == "reordered":
+            b = Trace(a.horizon, data.draw(st.permutations(a.facts)))
+            if b.facts != a.facts:
+                assert a != b
+        assert (a == b) == (a.horizon == b.horizon and a.facts == b.facts)
+        if a == b:
+            assert hash(a) == hash(b)
+        # the ingest divides out the factor that unreduced ends such as 2/4 leave
+        unreduced = parse_trace(_unreduced_text(a, data.draw(st.integers(2, 6))))
+        assert unreduced == a and hash(unreduced) == hash(a)
+        assert format_trace(a) == _reference_format_trace(a)
+        assert format_trace(unreduced) == format_trace(a)
