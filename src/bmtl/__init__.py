@@ -16,9 +16,7 @@ from .errors import (
     NegativeBoundError,
     NonpositiveSlackError,
     NotApplicableError,
-    NumpyMissingError,
     OracleGridError,
-    OracleGridRangeError,
     OutputTooLargeError,
     ParseError,
     PointOutsideHorizonError,

@@ -86,14 +86,3 @@ class OracleGridError(BmtlError, MemoryError):
 
     code = "ORACLE_GRID_TOO_FINE"
 
-
-class OracleGridRangeError(OracleGridError):
-    """The oracle's scaled sample grid would leave the exact 64-bit range."""
-
-    code = "ORACLE_GRID_OUT_OF_RANGE"
-
-
-class NumpyMissingError(BmtlError):
-    """The oracle's numpy cannot be imported."""
-
-    code = "NUMPY_MISSING"

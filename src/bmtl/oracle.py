@@ -35,19 +35,31 @@ are never consulted.  (On the 1/L grid the argument fails: open
 gaps hold no grid point.)
 
 All arithmetic is exact: values are scaled by 2L, making every grid
-point an integer, and the per-node work runs on numpy arrays of int64
-(the scaled magnitudes here stay far below the 64-bit range; anything
-larger is rejected loudly rather than silently wrapped).  The grid is
-the run of consecutive integers from the scaled lower end lo, so grid
-index i is the scaled value lo + i, and every kernel is a linear scan
-over index arrays.  Predicate masks are filled from the trace's own int
-fact ends (Trace.spans); the oracle builds no Fact and uses none of the
+point an integer.  The grid is the run of consecutive integers from the
+scaled lower end lo, so grid index i is the scaled value lo + i, and
+indices are ints relative to lo, whatever the magnitude of the times.
+Predicate masks are filled from the trace's own int fact ends
+(Trace.spans); the oracle builds no Fact and uses none of the
 evaluator's atom-code kernel.
 
-numpy is bound at the first call that builds an array, in _sample_grid
-or _TruthTable.__init__, which every query goes through; importing this
-module does not load it, so the rest of bmtl runs without numpy, and a
-query without it raises NumpyMissingError.
+Truth arrays are bitsets.  A node's truth on the n-point grid is one
+Python int whose bit i is grid index i, so every bit lies below n, and
+each kernel is a few big-int shifts, ands, ors and complements (the
+shift-and-or idea of Baeza-Yates and Gonnet's text search, CACM 1992).
+Clipping gives the answers of index windows cropped to the grid, since
+a point off the grid is never true.  A predicate or the horizon sets
+one run of bits per span, cropped to [0, n).  "Some bit in [i + first,
+i + last]" is read from the operand shifted up by n, so indices below 0
+fall on the zero bits at its bottom and indices from n up on the zero
+bits above it.  A box is "no false bit in the window", so a window
+cropped to nothing holds, and a cropped one is judged on its grid
+points alone.  Since shifts its operands up and until down, moving in
+zero bits for the points off the grid, and every shifted operand is
+ANDed with an unshifted one, so no bit a shift moves past n survives:
+the witness and the run of left-operand truth between it and the query
+point must lie on the grid.  The values that clipping changes, at
+points within the reach of the grid's ends, are never consulted (see
+above).
 """
 
 from __future__ import annotations
@@ -55,14 +67,10 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import partial
+from operator import lshift, rshift
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    NumpyMissingError,
-    OracleGridError,
-    OracleGridRangeError,
-    PointOutsideHorizonError,
-)
+from .errors import OracleGridError, PointOutsideHorizonError
 from .intervals import Interval, IntervalSet, rat, scaled_value
 from .syntax import (
     And,
@@ -81,23 +89,6 @@ from .syntax import (
 )
 from .traces import Trace
 
-_INT64_LIMIT = 1 << 62
-
-np = None  # numpy, once _bind_numpy has run
-
-
-def _bind_numpy() -> None:
-    """Import numpy on the first call and bind it to the module's np."""
-    global np
-    if np is None:
-        try:
-            import numpy
-        except ImportError as e:
-            raise NumpyMissingError(
-                "bmtl check needs numpy for its oracle, and numpy cannot be imported"
-            ) from e
-        np = numpy
-
 
 def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
     """Truth of f at each point; the sample grid is built once."""
@@ -110,7 +101,7 @@ def oracle_eval_many(f: Formula, tr: Trace, points: Sequence) -> list[bool]:
     if not pts:
         return []
     table, root = _truth_arrays(f, tr, pts, tr.horizon)
-    return [bool(root[table.index(p)]) for p in pts]
+    return [bool((root >> table.index(p)) & 1) for p in pts]
 
 
 def oracle_first_difference(
@@ -128,22 +119,21 @@ def oracle_first_difference(
         raise PointOutsideHorizonError(f"region {region} outside horizon {tr.horizon}")
     ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
     table, root = _truth_arrays(f, tr, ends, region)
-    first, last = table.index(region.lo), table.index(region.hi) + 1
-    expected = np.zeros(last - first, dtype=bool)
+    expected = 0
     for p in truth.parts:
         # an open end moves one grid index inward
-        left = table.index(p.lo) + (not p.lo_closed) - first
-        right = table.index(p.hi) + p.hi_closed - first
-        expected[max(left, 0):max(right, 0)] = True
-    differ = np.flatnonzero(root[first:last] != expected)
-    if not differ.size:
+        expected |= table.run(table.index(p.lo) + (not p.lo_closed),
+                              table.index(p.hi) - (not p.hi_closed))
+    differ = (root ^ expected) & table.run(table.index(region.lo), table.index(region.hi))
+    if not differ:
         return None
-    return Fraction(table.lo + first + int(differ[0]), table.scale)
+    # differ & -differ keeps the lowest set bit
+    return Fraction(table.lo + (differ & -differ).bit_length() - 1, table.scale)
 
 
 def _truth_arrays(f: Formula, tr: Trace, pts: Iterable[Fraction], span: Interval):
     """The truth table of f on the grid fine enough for pts, over span
-    padded by f's reach, and f's truth array on it, exact at every grid
+    padded by f's reach, and f's truth bits on it, exact at every grid
     point of span."""
     s = scope(f)
     scale = 2 * math.lcm(tr.scale, s.scale, *(p.denominator for p in pts))
@@ -152,7 +142,7 @@ def _truth_arrays(f: Formula, tr: Trace, pts: Iterable[Fraction], span: Interval
     return table, fold(f, lambda node, kids: _ARRAYS[type(node)](table, node, kids))
 
 
-def _sample_grid(start: Fraction, stop: Fraction, scale: int):
+def _sample_grid(start: Fraction, stop: Fraction, scale: int) -> range:
     """The grid over [start, stop], as the int values scaled by scale.
 
     Point atoms and gap midpoints at scale / 2 are all on it (the module
@@ -165,102 +155,106 @@ def _sample_grid(start: Fraction, stop: Fraction, scale: int):
             f"span [{start},{stop}] is {stop - start} time units wide, at {scale} "
             "points per time unit"
         )
-    if max(abs(lo), abs(hi)) >= _INT64_LIMIT:
-        raise OracleGridRangeError(
-            f"oracle sample grid ends {lo} and {hi} (scaled by {scale}) exceed the "
-            "exact 64-bit range; times too far from 0"
-        )
-    _bind_numpy()
-    return np.arange(lo, hi + 1, dtype=np.int64)
+    return range(lo, hi + 1)
 
 
 class _TruthTable:
-    """Truth arrays over the sample grid, one node at a time from its
-    operands' arrays; fold supplies the operands bottom-up.  The grid
-    index of a scaled value v is v - lo."""
+    """Truth bitsets over the sample grid, one node at a time from its
+    operands' bits; fold supplies the operands bottom-up.  The grid index
+    of a scaled value v is v - lo, and full has a bit for every index."""
 
-    def __init__(self, tr: Trace, xs, scale: int):
+    def __init__(self, tr: Trace, xs: Sequence[int], scale: int):
         self.tr = tr
-        n = self.n = len(xs)
+        self.n = len(xs)
         self.lo = int(xs[0])
         self.scale = scale
-        _bind_numpy()
-        self.idx = np.arange(n, dtype=np.int64)
-        self.horizon_mask = np.zeros(n, dtype=bool)
-        self._fill_span(self.horizon_mask, scaled_value(tr.horizon.lo, scale),
-                        scaled_value(tr.horizon.hi, scale))
+        self.full = (1 << self.n) - 1
+        self.horizon_mask = self.run(self.index(tr.horizon.lo), self.index(tr.horizon.hi))
 
     def index(self, x: Fraction) -> int:
         """The grid index of the value x."""
         return scaled_value(x, self.scale) - self.lo
 
-    def _fill_span(self, mask: np.ndarray, lo: int, hi: int) -> None:
-        """Set the grid points of the closed span [lo, hi] of scaled
-        values.  The grid may crop the span on either side, and a
-        negative slice start would wrap around, so both ends clamp at 0."""
-        mask[max(lo - self.lo, 0):max(hi + 1 - self.lo, 0)] = True
+    def run(self, first: int, last: int) -> int:
+        """The bits of the grid indices first..last, cropped to the grid."""
+        first, last = max(first, 0), min(last, self.n - 1)
+        return ((1 << (last - first + 1)) - 1) << first if first <= last else 0
 
-    def predicate(self, node: Pred, kids) -> np.ndarray:
-        mask = np.zeros(self.n, dtype=bool)
+    def predicate(self, node: Pred, kids) -> int:
         factor = self.scale // self.tr.scale
-        los, his = self.tr.spans(node.name)
-        for lo, hi in zip(los, his):
-            self._fill_span(mask, lo * factor, hi * factor)
-        return mask
+        bits = 0
+        for lo, hi in zip(*self.tr.spans(node.name)):
+            bits |= self.run(lo * factor - self.lo, hi * factor - self.lo)
+        return bits
 
-    def _shifted_index(self, offset: int) -> np.ndarray:
-        """clip(i + offset, 0, n) for every grid index i (two in-place
-        ufuncs: np.clip costs more in call overhead on these sizes)."""
-        out = self.idx + offset
-        np.maximum(out, 0, out=out)
-        return np.minimum(out, self.n, out=out)
+    def _grid_bound(self, bound) -> tuple[int, int]:
+        return scaled_value(bound.lo, self.scale), scaled_value(bound.hi, self.scale)
 
-    def _window_edges(self, bound, past: bool):
-        """Per grid index i, the half-open index range [left, right) of
-        the grid points inside i's window, clipped to the grid."""
-        b1 = scaled_value(bound.lo, self.scale)
-        b2 = scaled_value(bound.hi, self.scale)
+    def window_quantifier(self, node, kids, past: bool, universal: bool) -> int:
+        b1, b2 = self._grid_bound(node.bound)
         first, last = (-b2, -b1) if past else (b1, b2)
-        return self._shifted_index(first), self._shifted_index(last + 1)
-
-    def window_quantifier(self, node, kids, past: bool, universal: bool) -> np.ndarray:
-        left, right = self._window_edges(node.bound, past)
-        prefix = _prefix_counts(kids[0])
         if universal:
-            # every grid point in the window satisfies the body
-            return prefix[right] - prefix[left] == right - left
-        return prefix[right] > prefix[left]
+            # no grid point of the window falsifies the body
+            return self.full & ~self._some(self.full & ~kids[0], first, last)
+        return self._some(kids[0], first, last)
 
-    def witness_scan(self, node, kids, past: bool) -> np.ndarray:
+    def _some(self, bits: int, first: int, last: int) -> int:
+        """Bit i is set when bits has a set bit among the grid indices
+        i + first .. i + last; first <= last.  Offsets past -n or n
+        reach off the grid from every index, so they clamp there."""
+        n = self.n
+        first, last = min(max(first, -n), n), min(max(last, -n), n)
+        width = last - first + 1
+        # bit k of spread: some bit of bits << n among k .. k + covered - 1
+        spread, covered = bits << n, 1
+        while covered < width:
+            step = min(covered, width - covered)
+            spread |= spread >> step
+            covered += step
+        return (spread >> (n + first)) & self.full
+
+    def witness_scan(self, node, kids, past: bool) -> int:
         """Since/until: a witness in the window with the left operand
         true at every grid point between the witness and the query
-        point, both ends included."""
+        point, both ends included.
+
+        up(x, k) moves bit i - k (since) or i + k (until) to bit i.
+        Each step ANDs a shifted operand with an unshifted one, so bits
+        a since shift moves past the grid never survive."""
         holds, witness = kids
-        wit_prefix = _prefix_counts(witness)
-        left, right = self._window_edges(node.bound, past)
-        if past:
-            # smallest index j such that holds[j..i] is all true: one past
-            # the last false index at or before i (i + 1 if holds[i] is false)
-            reach_back = np.maximum.accumulate(np.where(holds, -1, self.idx)) + 1
-            start = np.maximum(left, reach_back)
-            # prefix counts never fall, so a witness implies right > start
-            return wit_prefix[right] > wit_prefix[start]
-        # one past the largest index j such that holds[i..j] is all true:
-        # the first false index at or after i (n if there is none)
-        next_false = np.where(holds, self.n, self.idx)
-        reach_fwd = np.minimum.accumulate(next_false[::-1])[::-1]
-        end = np.minimum(right, reach_fwd)
-        return wit_prefix[end] > wit_prefix[left]
+        b1, b2 = self._grid_bound(node.bound)
+        if b1 >= self.n:
+            return 0
+        up = lshift if past else rshift
+        width = min(b2, self.n - 1) - b1 + 1
+        # near[i]: a witness at distance d < p from i, with holds from
+        # it to i; held[i]: holds at the p points from i towards the past
+        # (since) or the future (until)
+        near, held, p = witness & holds, holds, 1
+        while 2 * p <= width:
+            near |= up(near, p) & held
+            held &= up(held, p)
+            p *= 2
+        if p < width:
+            near |= up(near, width - p) & self._held(holds, width - p, up)
+        return up(near, b1) & self._held(holds, b1, up)
+
+    def _held(self, holds: int, k: int, up) -> int:
+        """Bit i is set when holds is true at the k grid points that end
+        (since) or start (until) at i; every bit for k = 0."""
+        if k == 0:
+            return self.full
+        held, p = holds, 1
+        while 2 * p <= k:
+            held &= up(held, p)
+            p *= 2
+        if p < k:
+            # p < k < 2p: the two runs of p overlap
+            held &= up(held, k - p)
+        return held
 
 
-def _prefix_counts(mask: np.ndarray) -> np.ndarray:
-    """prefix[k] is the number of true entries in mask[:k]."""
-    prefix = np.zeros(len(mask) + 1, dtype=np.int64)
-    np.cumsum(mask, out=prefix[1:])
-    return prefix
-
-
-# node class -> array(table, node, operand arrays)
+# node class -> bits(table, node, operand bits)
 _ARRAYS = {
     Pred: _TruthTable.predicate,
     Top: lambda t, n, k: t.horizon_mask,

@@ -241,6 +241,11 @@ def traces_st(draw, max_facts: int = 5, horizon_max: int = 12):
         x = draw(fractions_st(lo=4 * a, hi=4 * b, denoms=(1, 2, 4)))
         y = draw(fractions_st(lo=4 * a, hi=4 * b, denoms=(1, 2, 4)))
         lo, hi = min(x, y), max(x, y)
+        if facts and draw(st.booleans()):
+            # start where an earlier fact ends: two facts then meet in
+            # one point, and their intersection is one atom wide
+            lo = draw(st.sampled_from(facts)).span.hi
+            hi = max(hi, lo)
         lo = max(lo, horizon.lo)
         hi = min(hi, horizon.hi)
         if lo > hi:

@@ -2,20 +2,19 @@
 
 The naive reference below re-decides every quantifier by direct
 Fraction comparisons and linear scans over the same sampling lattice —
-no numpy, no prefix sums, no index arithmetic — so an error in the
-oracle's vectorized bookkeeping cannot hide in the reference.
+no prefix sums, no index or bit arithmetic — so an error in the
+oracle's bitset bookkeeping cannot hide in the reference.
 
-The kernel references compute the oracle's whole truth arrays by binary
-search on the grid values (np.searchsorted), without assuming that the
-grid is a run of consecutive integers, so a slip in the oracle's index
-arithmetic shows up at every grid point it touches.  On the quarter-step
-grid over the padded horizon they also give a reference first
-difference, which the oracle's half-step grid over the padded region
-must match atom for atom.
+The kernel references compute the oracle's whole truth arrays as numpy
+bool arrays by binary search on the grid values (np.searchsorted),
+without assuming that the grid is a run of consecutive integers, so a
+slip in the oracle's shifts and crops shows up at every grid point it
+touches.  On the quarter-step grid over the padded horizon they also
+give a reference first difference, which the oracle's half-step grid
+over the padded region must match atom for atom.
 """
 
 import math
-import sys
 import time
 from fractions import Fraction as F
 
@@ -24,14 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import bmtl.oracle as oracle_module
-from bmtl.errors import (
-    BmtlError,
-    NumpyMissingError,
-    OracleGridError,
-    OracleGridRangeError,
-    PointOutsideHorizonError,
-)
+from bmtl.errors import BmtlError, OracleGridError, PointOutsideHorizonError
 from bmtl.evaluate import eval_truth_set, reliable_region
 from bmtl.intervals import Interval, coalesce
 from bmtl.oracle import (
@@ -265,6 +257,16 @@ def _atom(x: F, scale: int) -> int:
     return 2 * k.numerator if k.denominator == 1 else 2 * math.floor(k) + 1
 
 
+def _bools(bits: int, n: int) -> np.ndarray:
+    """The bitset bits as n bools, index i from bit i."""
+    return np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
+
+
+def _bits(row: np.ndarray) -> int:
+    """The bool row as a bitset, bit i from index i."""
+    return sum(1 << i for i, v in enumerate(row) if v)
+
+
 def _oracle_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
     table = _TruthTable(tr, xs, scale)
     arrays: list = []
@@ -274,7 +276,7 @@ def _oracle_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
         return arrays[-1]
 
     fold(f, step)
-    return arrays
+    return [_bools(bits, table.n) for bits in arrays]
 
 
 # ----------------------------------------------------------------- fixtures
@@ -385,6 +387,19 @@ class TestFirstDifference:
         gap = [Interval(4, 5, False, False)]
         assert self.first_difference(tr, f, gap) is None
         assert 4 < self.first_difference(tr, f, []) < 5
+
+    def test_truth_parts_past_the_padded_grid(self, simple_trace):
+        # p has reach 0, so the grid is the region [5,15] itself: parts
+        # wholly before it, across either end and wholly after it
+        region = Interval(5, 15)
+        before = Interval(-5, F(1, 2))
+        assert self.first_difference(simple_trace, Pred("p"), [before], region) is None
+        assert self.first_difference(simple_trace, Pred("p"), [Interval(-5, 6)], region) == 5
+        across_hi = [Interval(F(29, 2), 20)]
+        assert self.first_difference(simple_trace, Pred("p"), across_hi, region) == F(29, 2)
+        assert self.first_difference(simple_trace, Pred("p"), [Interval(16, 20)], region) is None
+        whole = [Interval(-9, 20)]
+        assert self.first_difference(simple_trace, Pred("p"), whole, region) == 5
 
     def test_only_the_region_is_compared(self, simple_trace):
         parts = [Interval(0, 4, True, False)]
@@ -497,25 +512,23 @@ def _unit_table(lo: int, n: int):
     xs = np.arange(lo, lo + n, dtype=np.int64)
     # the kernels never read the horizon; it only has to be valid
     tr = Trace(Interval(F(lo), F(lo + n)), ())
-    return xs, _TruthTable(tr, xs, 1)
+    return xs, _TruthTable(tr, range(lo, lo + n), 1)
 
 
 def _assert_kernels_match(lo, n, holds, witness, bound):
     xs, table = _unit_table(lo, n)
     for past in (True, False):
-        new_edges = table._window_edges(bound, past)
-        ref_edges = _reference_window_edges(xs, 1, bound, past)
-        for new, ref in zip(new_edges, ref_edges):
-            np.testing.assert_array_equal(new, ref)
         for universal in (True, False):
             np.testing.assert_array_equal(
-                table.window_quantifier(
-                    DiaPlus(bound, Pred("p")), [witness], past, universal
-                ),
+                _bools(table.window_quantifier(
+                    DiaPlus(bound, Pred("p")), [_bits(witness)], past, universal
+                ), n),
                 _reference_window_quantifier(xs, 1, bound, witness, past, universal),
             )
         np.testing.assert_array_equal(
-            table.witness_scan(Since(Pred("p"), bound, Pred("q")), [holds, witness], past),
+            _bools(table.witness_scan(
+                Since(Pred("p"), bound, Pred("q")), [_bits(holds), _bits(witness)], past
+            ), n),
             _reference_witness_scan(xs, 1, bound, holds, witness, past),
         )
 
@@ -528,6 +541,29 @@ class TestKernelsAgainstSearchsorted:
     @example((4, 6, np.ones(6, bool), np.zeros(6, bool), Bound(F(7), F(9))))
     def test_kernels_match_reference_on_whole_arrays(self, case):
         _assert_kernels_match(*case)
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            (0, 11),  # a window wider than 2n, 12 points on a 5-point grid
+            (3, 11),
+            (5, 5),  # windows wholly past either end: b1 = n
+            (5, 9),
+            (8, 20),
+            (0, 0),  # b1 = 0
+            (0, 3),
+            (0, 4),
+            (2, 2),  # b1 = b2
+            (4, 4),
+        ],
+    )
+    @pytest.mark.parametrize("holds", ["all-true", "mixed"])
+    def test_bound_edge_cases(self, a, b, holds):
+        rows = {"all-true": [1, 1, 1, 1, 1], "mixed": [1, 1, 0, 1, 1]}
+        for witness in ([0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]):
+            _assert_kernels_match(
+                -2, 5, np.array(rows[holds], dtype=bool), np.array(witness, dtype=bool),
+                Bound(F(a), F(b)))
 
     @pytest.mark.parametrize(
         "a, b", [(0, 0), (2, 2), (2, 4), (0, 8), (0, 9), (10, 12)]
@@ -551,8 +587,9 @@ class TestKernelsAgainstSearchsorted:
     def test_truth_arrays_match_reference(self, f, tr, refine):
         scale = 4 * refine * _grid_denominator(f, tr, [])
         past, future = reference_reach(f)
-        xs = _sample_grid(tr.horizon.lo - past, tr.horizon.hi + future, scale)
-        new = _oracle_truth_arrays(f, tr, xs, scale)
+        grid = _sample_grid(tr.horizon.lo - past, tr.horizon.hi + future, scale)
+        xs = np.array(grid, dtype=np.int64)
+        new = _oracle_truth_arrays(f, tr, grid, scale)
         ref = _reference_truth_arrays(f, tr, xs, scale)
         assert len(new) == len(ref)
         for a, b in zip(new, ref):
@@ -560,7 +597,7 @@ class TestKernelsAgainstSearchsorted:
 
 
 class TestSpanMasks:
-    """_TruthTable's masks from the trace's int spans against masks built
+    """_TruthTable's bits from the trace's int spans against masks built
     from tr.facts, on grids that crop the horizon and grids that pad it."""
 
     TRACE = (
@@ -592,13 +629,19 @@ class TestSpanMasks:
             return mask
 
         for name in ("p", "q", "r"):
-            np.testing.assert_array_equal(table.predicate(Pred(name), []), fact_mask(name))
+            np.testing.assert_array_equal(
+                _bools(table.predicate(Pred(name), []), len(xs)), fact_mask(name))
         horizon = _reference_span_mask(
             xs, _as_int(tr.horizon.lo * scale), _as_int(tr.horizon.hi * scale))
-        np.testing.assert_array_equal(table.horizon_mask, horizon)
+        np.testing.assert_array_equal(_bools(table.horizon_mask, len(xs)), horizon)
 
 
 class TestGridLimits:
+    def test_sample_grid_is_a_sized_run_of_scaled_values(self):
+        grid = _sample_grid(F(-2), F(2), 4)
+        assert len(grid) == 17
+        assert (grid[0], grid[-1]) == (-8, 8)
+
     def test_too_fine_grid_raises_oracle_grid_error(self):
         tr = Trace(Interval(F(0), F(100)), ())
         f = DiaPlus(Bound(F(0), F(1, 1_000_003)), Top())
@@ -608,14 +651,18 @@ class TestGridLimits:
         assert isinstance(info.value, MemoryError)
         assert info.value.code == "ORACLE_GRID_TOO_FINE"
 
-    def test_grid_ends_past_the_int64_range_raise_oracle_grid_error(self):
-        # a tiny grid, but its scaled ends pass 2**62
-        tr = Trace(Interval(2**61, 2**61 + 1), ())
-        with pytest.raises(OracleGridError) as info:
-            oracle_eval_many(Pred("p"), tr, [2**61])
-        assert isinstance(info.value, BmtlError)
-        assert isinstance(info.value, OracleGridRangeError)
-        assert info.value.code == "ORACLE_GRID_OUT_OF_RANGE"
+    def test_grid_ends_past_the_int64_range_agree_with_the_evaluator(self):
+        # a tiny grid whose scaled ends pass 2**62: grid indices count
+        # from the grid's low end, so only their number matters
+        base = F(2**61)
+        tr = Trace(Interval(base, base + 2), (Fact("p", Interval(base, base + F(1, 2))),))
+        f = Since(Top(), Bound(F(0), F(1)), Pred("p"))
+        truth = eval_truth_set(f, tr)
+        pts = [base + F(k, 4) for k in range(9)]
+        assert oracle_eval_many(f, tr, pts) == [truth.contains_point(p) for p in pts]
+        assert oracle_eval_many(f, tr, pts) == [True] * 7 + [False] * 2
+        region = reliable_region(f, tr)
+        assert oracle_first_difference(f, tr, eval_truth_set(f, tr, region), region) is None
 
     def test_truth_ends_too_fine_for_the_grid_raise_oracle_grid_error(self):
         tr = Trace(Interval(F(0), F(100)), ())
@@ -623,15 +670,6 @@ class TestGridLimits:
         with pytest.raises(OracleGridError) as info:
             oracle_first_difference(Pred("p"), tr, truth, tr.horizon)
         assert info.value.code == "ORACLE_GRID_TOO_FINE"
-
-    def test_query_without_numpy_raises_numpy_missing(self, monkeypatch, simple_trace):
-        monkeypatch.setattr(oracle_module, "np", None)
-        monkeypatch.setitem(sys.modules, "numpy", None)  # makes `import numpy` fail
-        with pytest.raises(NumpyMissingError) as info:
-            oracle_eval_many(Pred("p"), simple_trace, [F(1)])
-        assert isinstance(info.value, BmtlError)
-        assert info.value.code == "NUMPY_MISSING"
-        assert "numpy" in str(info.value)
 
 
 class TestSharedSubtrees:
