@@ -5,20 +5,22 @@ Fraction comparisons and linear scans over the same sampling lattice —
 no prefix sums, no index or bit arithmetic — so an error in the
 oracle's bitset bookkeeping cannot hide in the reference.
 
-The kernel references compute the oracle's whole truth arrays as numpy
-bool arrays by binary search on the grid values (np.searchsorted),
-without assuming that the grid is a run of consecutive integers, so a
-slip in the oracle's shifts and crops shows up at every grid point it
-touches.  On the quarter-step grid over the padded horizon they also
-give a reference first difference, which the oracle's half-step grid
-over the padded region must match atom for atom.
+The kernel references compute the oracle's whole truth arrays as lists
+of bools, by binary search on the grid values (bisect) and prefix counts
+(accumulate), without assuming that the grid is a run of consecutive
+integers, so a slip in the oracle's shifts and crops shows up at every
+grid point it touches.  On the quarter-step grid over the padded
+horizon they also give a reference first difference, which the
+oracle's half-step grid over the padded region must match atom for
+atom.
 """
 
 import math
 import time
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
+from itertools import accumulate
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -141,68 +143,70 @@ def _as_int(x) -> int:
     return int(x)
 
 
-def _reference_span_mask(xs, lo: int, hi: int) -> np.ndarray:
-    mask = np.zeros(len(xs), dtype=bool)
-    left = int(np.searchsorted(xs, lo, side="left"))
-    right = int(np.searchsorted(xs, hi, side="right"))
-    mask[left:right] = True
+def _prefix(row) -> list[int]:
+    """Counts of true entries: prefix[i] is the count over row[:i]."""
+    return list(accumulate(row, initial=0))
+
+
+def _reference_span_mask(xs, span: Interval, scale: int) -> list[bool]:
+    left = bisect_left(xs, _as_int(span.lo * scale))
+    right = bisect_right(xs, _as_int(span.hi * scale))
+    return [left <= i < right for i in range(len(xs))]
+
+
+def _reference_fact_mask(tr: Trace, name: str, xs, scale: int) -> list[bool]:
+    mask = [False] * len(xs)
+    for fact in tr.facts:
+        if fact.predicate == name:
+            span = _reference_span_mask(xs, fact.span, scale)
+            mask = [a or b for a, b in zip(mask, span)]
     return mask
 
 
 def _reference_window_edges(xs, scale: int, bound, past: bool):
     b1 = _as_int(bound.lo * scale)
     b2 = _as_int(bound.hi * scale)
-    if past:
-        lo_vals, hi_vals = xs - b2, xs - b1
-    else:
-        lo_vals, hi_vals = xs + b1, xs + b2
-    left = np.searchsorted(xs, lo_vals, side="left")
-    right = np.searchsorted(xs, hi_vals, side="right")
+    first, last = (-b2, -b1) if past else (b1, b2)
+    left = [bisect_left(xs, x + first) for x in xs]
+    right = [bisect_right(xs, x + last) for x in xs]
     return left, right
 
 
 def _reference_window_quantifier(xs, scale, bound, body, past, universal):
     left, right = _reference_window_edges(xs, scale, bound, past)
-    prefix = np.concatenate(([0], np.cumsum(body.astype(np.int64))))
-    count = prefix[right] - prefix[left]
-    return count == (right - left) if universal else count > 0
+    prefix = _prefix(body)
+    counts = [(prefix[r] - prefix[l], r - l) for l, r in zip(left, right)]
+    return [c == size if universal else c > 0 for c, size in counts]
 
 
 def _reference_witness_scan(xs, scale, bound, holds, witness, past):
-    false_prefix = np.concatenate(([0], np.cumsum((~holds).astype(np.int64))))
-    wit_prefix = np.concatenate(([0], np.cumsum(witness.astype(np.int64))))
+    false_prefix = _prefix(not h for h in holds)
+    wit_prefix = _prefix(witness)
     left, right = _reference_window_edges(xs, scale, bound, past)
     if past:
         # smallest index j such that holds[j..i] is all true
-        reach_back = np.searchsorted(false_prefix, false_prefix[1:], side="left")
-        start = np.maximum(left, reach_back)
-        return (right > start) & (wit_prefix[right] - wit_prefix[start] > 0)
+        reach_back = [bisect_left(false_prefix, v) for v in false_prefix[1:]]
+        starts = [max(l, b) for l, b in zip(left, reach_back)]
+        return [r > s and wit_prefix[r] - wit_prefix[s] > 0 for s, r in zip(starts, right)]
     # one past the largest index j such that holds[i..j] is all true
-    reach_fwd = np.searchsorted(false_prefix, false_prefix[:-1], side="right") - 1
-    end = np.minimum(right, reach_fwd)
-    return (end > left) & (wit_prefix[end] - wit_prefix[left] > 0)
+    reach_fwd = [bisect_right(false_prefix, v) - 1 for v in false_prefix[:-1]]
+    ends = [min(r, f) for r, f in zip(right, reach_fwd)]
+    return [e > l and wit_prefix[e] - wit_prefix[l] > 0 for l, e in zip(left, ends)]
 
 
 def _reference_truth_arrays(f, tr: Trace, xs, scale: int) -> list:
     """Every node's truth array over the grid xs, in fold order."""
-
-    def span(s):
-        return _reference_span_mask(xs, _as_int(s.lo * scale), _as_int(s.hi * scale))
-
-    horizon = span(tr.horizon)
+    horizon = _reference_span_mask(xs, tr.horizon, scale)
 
     def step(node, kids):
         if isinstance(node, Pred):
-            out = np.zeros(len(xs), dtype=bool)
-            for fact in tr.facts:
-                if fact.predicate == node.name:
-                    out |= span(fact.span)
+            out = _reference_fact_mask(tr, node.name, xs, scale)
         elif isinstance(node, Top):
             out = horizon
         elif isinstance(node, Not):
-            out = horizon & ~kids[0]
+            out = [h and not k for h, k in zip(horizon, kids[0])]
         elif isinstance(node, And):
-            out = kids[0] & kids[1]
+            out = [a and b for a, b in zip(*kids)]
         elif isinstance(node, (Since, Until)):
             past = isinstance(node, Since)
             out = _reference_witness_scan(xs, scale, node.bound, *kids, past)
@@ -234,20 +238,19 @@ def _reference_first_difference(f, tr: Trace, truth, region: Interval):
     ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
     scale = 4 * _grid_denominator(f, tr, ends)
     past, future = reference_reach(f)
-    xs = np.arange(
+    xs = list(range(
         _as_int((tr.horizon.lo - past) * scale),
         _as_int((tr.horizon.hi + future) * scale) + 1,
-        dtype=np.int64,
-    )
+    ))
     root = _reference_truth_arrays(f, tr, xs, scale)[-1]
-    expected = np.zeros(len(xs), dtype=bool)
+    expected = [False] * len(xs)
     for p in truth.parts:
-        left = np.searchsorted(xs, _as_int(p.lo * scale), "left" if p.lo_closed else "right")
-        right = np.searchsorted(xs, _as_int(p.hi * scale), "right" if p.hi_closed else "left")
-        expected[left:right] = True
-    in_region = (xs >= _as_int(region.lo * scale)) & (xs <= _as_int(region.hi * scale))
-    differ = np.flatnonzero(in_region & (root != expected))
-    return F(int(xs[differ[0]]), scale) if differ.size else None
+        left = (bisect_left if p.lo_closed else bisect_right)(xs, _as_int(p.lo * scale))
+        right = (bisect_right if p.hi_closed else bisect_left)(xs, _as_int(p.hi * scale))
+        expected[left:right] = [True] * (right - left)
+    lo, hi = _as_int(region.lo * scale), _as_int(region.hi * scale)
+    differ = [x for x, a, b in zip(xs, root, expected) if lo <= x <= hi and a != b]
+    return F(differ[0], scale) if differ else None
 
 
 def _atom(x: F, scale: int) -> int:
@@ -257,12 +260,12 @@ def _atom(x: F, scale: int) -> int:
     return 2 * k.numerator if k.denominator == 1 else 2 * math.floor(k) + 1
 
 
-def _bools(bits: int, n: int) -> np.ndarray:
+def _bools(bits: int, n: int) -> list[bool]:
     """The bitset bits as n bools, index i from bit i."""
-    return np.array([(bits >> i) & 1 for i in range(n)], dtype=bool)
+    return [(bits >> i) & 1 == 1 for i in range(n)]
 
 
-def _bits(row: np.ndarray) -> int:
+def _bits(row) -> int:
     """The bool row as a bitset, bit i from index i."""
     return sum(1 << i for i, v in enumerate(row) if v)
 
@@ -484,8 +487,7 @@ class TestAgainstNaiveReference:
 
 
 def _bool_rows(n: int):
-    rows = st.lists(st.booleans(), min_size=n, max_size=n)
-    return rows.map(lambda row: np.array(row, dtype=bool))
+    return st.lists(st.booleans(), min_size=n, max_size=n)
 
 
 @st.composite
@@ -497,8 +499,8 @@ def grid_kernels(draw):
     holds = draw(
         st.one_of(
             _bool_rows(n),
-            st.just(np.ones(n, dtype=bool)),
-            st.just(np.zeros(n, dtype=bool)),
+            st.just([True] * n),
+            st.just([False] * n),
         )
     )
     witness = draw(_bool_rows(n))
@@ -509,7 +511,7 @@ def grid_kernels(draw):
 
 
 def _unit_table(lo: int, n: int):
-    xs = np.arange(lo, lo + n, dtype=np.int64)
+    xs = list(range(lo, lo + n))
     # the kernels never read the horizon; it only has to be valid
     tr = Trace(Interval(F(lo), F(lo + n)), ())
     return xs, _TruthTable(tr, range(lo, lo + n), 1)
@@ -519,26 +521,20 @@ def _assert_kernels_match(lo, n, holds, witness, bound):
     xs, table = _unit_table(lo, n)
     for past in (True, False):
         for universal in (True, False):
-            np.testing.assert_array_equal(
-                _bools(table.window_quantifier(
-                    DiaPlus(bound, Pred("p")), [_bits(witness)], past, universal
-                ), n),
-                _reference_window_quantifier(xs, 1, bound, witness, past, universal),
-            )
-        np.testing.assert_array_equal(
-            _bools(table.witness_scan(
-                Since(Pred("p"), bound, Pred("q")), [_bits(holds), _bits(witness)], past
-            ), n),
-            _reference_witness_scan(xs, 1, bound, holds, witness, past),
-        )
+            assert _bools(table.window_quantifier(
+                DiaPlus(bound, Pred("p")), [_bits(witness)], past, universal
+            ), n) == _reference_window_quantifier(xs, 1, bound, witness, past, universal)
+        assert _bools(table.witness_scan(
+            Since(Pred("p"), bound, Pred("q")), [_bits(holds), _bits(witness)], past
+        ), n) == _reference_witness_scan(xs, 1, bound, holds, witness, past)
 
 
-class TestKernelsAgainstSearchsorted:
+class TestKernelsAgainstBinarySearch:
     @settings(max_examples=300, deadline=None)
     @given(grid_kernels())
-    @example((0, 1, np.ones(1, bool), np.ones(1, bool), Bound(F(0), F(0))))
-    @example((-3, 5, np.zeros(5, bool), np.ones(5, bool), Bound(F(2), F(2))))
-    @example((4, 6, np.ones(6, bool), np.zeros(6, bool), Bound(F(7), F(9))))
+    @example((0, 1, [True], [True], Bound(F(0), F(0))))
+    @example((-3, 5, [False] * 5, [True] * 5, Bound(F(2), F(2))))
+    @example((4, 6, [True] * 6, [False] * 6, Bound(F(7), F(9))))
     def test_kernels_match_reference_on_whole_arrays(self, case):
         _assert_kernels_match(*case)
 
@@ -562,7 +558,7 @@ class TestKernelsAgainstSearchsorted:
         rows = {"all-true": [1, 1, 1, 1, 1], "mixed": [1, 1, 0, 1, 1]}
         for witness in ([0, 1, 0, 0, 1], [1, 0, 0, 0, 0], [1, 1, 1, 1, 1]):
             _assert_kernels_match(
-                -2, 5, np.array(rows[holds], dtype=bool), np.array(witness, dtype=bool),
+                -2, 5, [v == 1 for v in rows[holds]], [v == 1 for v in witness],
                 Bound(F(a), F(b)))
 
     @pytest.mark.parametrize(
@@ -572,14 +568,14 @@ class TestKernelsAgainstSearchsorted:
     def test_single_witness_at_every_position(self, a, b, holds):
         n = 9
         rows = {
-            "all-true": np.ones(n, dtype=bool),
-            "all-false": np.zeros(n, dtype=bool),
-            "alternating": np.arange(n) % 2 == 0,
+            "all-true": [True] * n,
+            "all-false": [False] * n,
+            "alternating": [i % 2 == 0 for i in range(n)],
         }
         for j in range(n):
             # anchors i = j + a and j + b (or j - a, j - b) put the
             # witness exactly on an edge of i's window
-            witness = np.arange(n) == j
+            witness = [i == j for i in range(n)]
             _assert_kernels_match(-4, n, rows[holds], witness, Bound(F(a), F(b)))
 
     @settings(max_examples=150, deadline=None)
@@ -588,12 +584,11 @@ class TestKernelsAgainstSearchsorted:
         scale = 4 * refine * _grid_denominator(f, tr, [])
         past, future = reference_reach(f)
         grid = _sample_grid(tr.horizon.lo - past, tr.horizon.hi + future, scale)
-        xs = np.array(grid, dtype=np.int64)
         new = _oracle_truth_arrays(f, tr, grid, scale)
-        ref = _reference_truth_arrays(f, tr, xs, scale)
+        ref = _reference_truth_arrays(f, tr, list(grid), scale)
         assert len(new) == len(ref)
         for a, b in zip(new, ref):
-            np.testing.assert_array_equal(a, b)
+            assert a == b
 
 
 class TestSpanMasks:
@@ -617,23 +612,13 @@ class TestSpanMasks:
         tr = parse_trace(self.TRACE)
         assert tr.scale == 4
         scale = factor * tr.scale
-        xs = np.arange(_as_int(lo * scale), _as_int(hi * scale) + 1, dtype=np.int64)
+        xs = list(range(_as_int(lo * scale), _as_int(hi * scale) + 1))
         table = _TruthTable(tr, xs, scale)
-
-        def fact_mask(name):
-            mask = np.zeros(len(xs), dtype=bool)
-            for fact in tr.facts:
-                if fact.predicate == name:
-                    mask |= _reference_span_mask(
-                        xs, _as_int(fact.span.lo * scale), _as_int(fact.span.hi * scale))
-            return mask
-
         for name in ("p", "q", "r"):
-            np.testing.assert_array_equal(
-                _bools(table.predicate(Pred(name), []), len(xs)), fact_mask(name))
-        horizon = _reference_span_mask(
-            xs, _as_int(tr.horizon.lo * scale), _as_int(tr.horizon.hi * scale))
-        np.testing.assert_array_equal(_bools(table.horizon_mask, len(xs)), horizon)
+            assert _bools(table.predicate(Pred(name), []), len(xs)) == _reference_fact_mask(
+                tr, name, xs, scale)
+        horizon = _reference_span_mask(xs, tr.horizon, scale)
+        assert _bools(table.horizon_mask, len(xs)) == horizon
 
 
 class TestGridLimits:

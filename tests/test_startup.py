@@ -1,6 +1,9 @@
 """bmtl runs without numpy: the oracle's truth arrays are int bitsets.
-The test runs in a fresh interpreter, because the suite's own process
-has numpy loaded already (the oracle tests' references use it)."""
+The test blocks `import numpy` in a fresh interpreter, so it proves its
+point on machines where numpy is installed too.  It cannot block it in
+the suite's own process: there `sys.modules["numpy"] = None` makes
+Hypothesis's `st.just` raise AttributeError at collection, since
+Hypothesis reads `ndarray` off any numpy entry in sys.modules."""
 
 import os
 import subprocess
