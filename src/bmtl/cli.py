@@ -79,7 +79,9 @@ def _fail(message: str, exit_code: int) -> int:
 def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            # a leading byte-order mark is not text; stripped after decoding,
+            # so that an error's byte offset still counts from the file's start
+            return fh.read().removeprefix("\ufeff")
     except OSError as e:
         raise _IOFailure(str(e))
     except UnicodeDecodeError as e:

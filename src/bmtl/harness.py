@@ -185,15 +185,14 @@ def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
     """Deterministic random trace on the horizon [-L/2, L/2].
 
     Each fact draws its predicate, a denominator d and the ends a/d and
-    b/d with a <= b, both within the horizon.  The draws stay ints: the
-    ends (a, d, b, d) go straight to the trace's conversion core, after
-    the check Trace() would make, done here by cross-multiplication.
+    b/d with a <= b, both within the horizon.  The draws stay ints: their
+    columns go straight to the trace's conversion core, after the check
+    Trace() would make, done here by cross-multiplication.
     """
     rng = _stream(cfg.seed, _TAG_TRACE, stream_index)
     half = cfg.horizon_length / 2
     h_num, h_den = half.numerator, half.denominator
-    ends: dict[str, list[tuple[int, int, int, int]]] = {}
-    order = []
+    names, los, dens, his = [], [], [], []
     for _ in range(cfg.facts_per_trace):
         name = rng.choice(cfg.predicate_pool)
         d = rng.randint(1, cfg.bound_denominator_max)
@@ -203,10 +202,12 @@ def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
         if not -h_num * d <= a * h_den <= b * h_den <= h_num * d:
             raise FactOutsideHorizonError(f"fact {name} @ [{Fraction(a, d)},{Fraction(b, d)}] "
                                           f"lies outside horizon [{-half},{half}]")
-        ends.setdefault(name, []).append((a, d, b, d))
-        order.append(name)
+        names.append(name)
+        los.append(a)
+        dens.append(d)
+        his.append(b)
     tr = Trace.__new__(Trace)
-    tr._build(Interval(-half, half), ends, order)
+    tr._build(Interval(-half, half), names, los, dens, his, dens)
     return tr
 
 

@@ -28,15 +28,30 @@ computed on each read and nothing is cached: :meth:`Trace.truth_base`
 coalesces the spans as Fractions, and ``facts`` builds them in fact
 order.
 
-One core, ``Trace._build``, turns ends given as (p, q, r, s) for
-[p/q, r/s] into that form: the lcm, one factor per denominator, and the
-gcd of the surplus that unreduced ends such as 2/4 leave in scale.  It
-checks nothing; each way in checks its own input.  ``parse_trace`` reads
-each endpoint as a pair of ints and makes its per-line checks, inverted
-span and containment in the horizon, by cross-multiplication, so an
-outside fact is reported at its own line even when a later line is
-malformed.  It builds Fractions only for an error message, which names
-the normalized values (``-04/6`` reads as ``-2/3``).
+One core, ``Trace._build``, turns the facts into that form.  It takes
+them in fact order as columns: the names, and the ints p, q, r, s of
+each span [p/q, r/s].  It makes one factor per denominator, scales each
+column with ``map``, divides out the gcd of the surplus that unreduced
+ends such as 2/4 leave in scale, and groups the ends by predicate in
+one pass.  It checks nothing; each way in checks its own input.
+
+``parse_trace`` reads a text in one scan when the text is ASCII, its
+first line is a horizon line, and every later line is spelled exactly as
+``format_trace`` writes it, ``NAME @ [R,R]``: one regex ``findall`` must
+match each of those lines, and the columns are converted with ``map(int,
+...)``, each distinct denominator once.  The whole batch is then checked
+with no Fraction per fact: zero denominators, a number past the int
+conversion limit, inverted spans and facts outside the horizon, the last
+two on the scaled ints.  Any other text, and any text that fails a
+check, is read again from the start by the per-line loop, the only
+reader that reports errors: blank lines, comments, other spacing, other
+line breaks (``\\r``, ``\\x0c``, ``\\u2028``), NBSP and non-ASCII
+digits all take it, with the same result the loop always gave.  The loop
+reads each endpoint as a pair of ints and makes its per-line checks,
+inverted span and containment in the horizon, by cross-multiplication,
+so an outside fact is reported at its own line even when a later line
+is malformed.  It builds Fractions only for an error message, which
+names the normalized values (``-04/6`` reads as ``-2/3``).
 ``Trace(horizon, facts)`` checks that the horizon is closed and wide,
 then each fact's containment in fact order, naming the first offender.
 ``harness.gen_trace`` hands its int draws straight to the core, after
@@ -50,6 +65,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import gt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
@@ -63,6 +79,8 @@ NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
 _FACT_RE = re.compile(
     rf"^({NAME})\s*@\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
+# A fact line exactly as format_trace writes it, one match per line.
+_SCAN_RE = re.compile(rf"^({NAME}) @ \[{RATIONAL},{RATIONAL}\]$", re.M | re.A)
 
 
 @dataclass(frozen=True)
@@ -88,38 +106,42 @@ class Trace:
             raise ValueError("horizon must be a closed interval")
         if horizon.lo >= horizon.hi:
             raise ValueError("horizon must have positive width")
-        ends: dict[str, list[tuple[int, int, int, int]]] = {}
-        order = []
+        names, p, q, r, s = [], [], [], [], []
         for fact in facts:
             if not horizon.contains_interval(fact.span):
                 raise FactOutsideHorizonError(
                     f"fact {fact.predicate} @ {fact.span} lies outside horizon {horizon}"
                 )
             lo, hi = fact.span.lo, fact.span.hi
-            ends.setdefault(fact.predicate, []).append(
-                (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
-            order.append(fact.predicate)
-        self._build(horizon, ends, order)
+            names.append(fact.predicate)
+            p.append(lo.numerator)
+            q.append(lo.denominator)
+            r.append(hi.numerator)
+            s.append(hi.denominator)
+        self._build(horizon, names, p, q, r, s)
 
-    def _build(self, horizon: Interval, ends, order: list[str]) -> None:
-        """The one core: ends maps each predicate to its facts' checked
-        (p, q, r, s), q and s positive; order is each fact's predicate."""
+    def _build(self, horizon: Interval, names: list[str], p: Sequence[int],
+               q: Sequence[int], r: Sequence[int], s: Sequence[int]) -> None:
+        """The one core: the facts in fact order as columns, each fact
+        names[i] @ [p[i]/q[i], r[i]/s[i]], checked, q and s positive."""
         h = math.lcm(horizon.lo.denominator, horizon.hi.denominator)
-        dens = {d for group in ends.values() for _, q, _, s in group for d in (q, s)}
+        dens = {*q, *s}
         scale = math.lcm(h, *dens)
         factor = {den: scale // den for den in dens}
-        spans = {
-            name: ([p * factor[q] for p, q, _, _ in group], [r * factor[s] for _, _, r, s in group])
-            for name, group in ends.items()
-        }
+        los = list(map(mul, p, map(factor.__getitem__, q)))
+        his = list(map(mul, r, map(factor.__getitem__, s)))
         # unreduced ends such as 2/4 leave a common factor in scale: divide it out
-        lists = [e for pair in spans.values() for e in pair]
-        surplus = math.gcd(scale // h, *(math.gcd(*e) for e in lists))
+        surplus = math.gcd(scale // h, *los, *his)
         if surplus > 1:
             scale //= surplus
-            for e in lists:
-                e[:] = [v // surplus for v in e]
-        self.horizon, self.scale, self._spans, self._order = horizon, scale, spans, order
+            los = [v // surplus for v in los]
+            his = [v // surplus for v in his]
+        spans = {name: ([], []) for name in dict.fromkeys(names)}
+        for name, lo, hi in zip(names, los, his):
+            name_los, name_his = spans[name]
+            name_los.append(lo)
+            name_his.append(hi)
+        self.horizon, self.scale, self._spans, self._order = horizon, scale, spans, names
 
     def _in_order(self) -> Iterator[tuple[str, int, int]]:
         """Each fact's predicate and ends times scale, in fact order."""
@@ -177,10 +199,57 @@ def _ends(a: str, b: Optional[str], c: str, d: Optional[str], lineno: int):
 
 
 def parse_trace(text: str) -> Trace:
+    """The trace text spells: read in one scan when it is in
+    format_trace's spelling and passes every check, else line by line."""
+    tr = _scan(text)
+    return tr if tr is not None else _parse_lines(text)
+
+
+def _scan(text: str) -> Optional[Trace]:
+    """text read in one scan if it is in format_trace's spelling and
+    passes every check, else None."""
+    head, _, body = text.partition("\n")
+    m = _HORIZON_RE.match(head)
+    # the \s of _HORIZON_RE also takes \r and \x0c, where splitlines splits
+    if m is None or not text.isascii() or len(head.splitlines()) != 1:
+        return None
+    rows = _SCAN_RE.findall(body)
+    # one match per line, a last line without its newline included
+    if len(rows) != body.count("\n") + (body[-1:] not in ("", "\n")):
+        return None
+    names, a, b, c, d = zip(*rows) if rows else ((),) * 5
+    try:
+        lo_num, lo_den, hi_num, hi_den = map(int, m.groups(default="1"))
+        den = {t: int(t or "1") for t in {*b, *d}}
+        p, r = list(map(int, a)), list(map(int, c))
+    except ValueError:  # a number past the int conversion limit
+        return None
+    if not (lo_den and hi_den and all(den.values())):
+        return None
+    lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
+    if lo >= hi:
+        return None
+    tr = Trace.__new__(Trace)
+    tr._build(Interval(lo, hi), list(names), p, list(map(den.__getitem__, b)),
+              r, list(map(den.__getitem__, d)))
+    # every span upright and inside the horizon, read in ints
+    first = lo.numerator * (tr.scale // lo.denominator)
+    last = hi.numerator * (tr.scale // hi.denominator)
+    for los, his in tr._spans.values():
+        if min(los) < first or max(his) > last or any(map(gt, los, his)):
+            return None
+    return tr
+
+
+def _parse_lines(text: str) -> Trace:
+    """text read line by line: the only reader that reports errors."""
     horizon: Optional[Interval] = None
-    # per predicate, each fact's ends as (p, q, r, s) for [p/q, r/s]
-    raw: dict[str, list[tuple[int, int, int, int]]] = {}
-    order: list[str] = []
+    # each fact in fact order: predicate, ends as (p, q, r, s) for [p/q, r/s]
+    names: list[str] = []
+    p_col: list[int] = []
+    q_col: list[int] = []
+    r_col: list[int] = []
+    s_col: list[int] = []
     fact_match = _FACT_RE.match
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -219,15 +288,15 @@ def parse_trace(text: str) -> Trace:
             raise FactOutsideHorizonError(
                 f"fact {name} @ {span} lies outside horizon {horizon}", lineno
             )
-        group = raw.get(name)
-        if group is None:
-            group = raw[name] = []
-        group.append((p, q, r, s))
-        order.append(name)
+        names.append(name)
+        p_col.append(p)
+        q_col.append(q)
+        r_col.append(r)
+        s_col.append(s)
     if horizon is None:
         raise MissingHorizonError("trace declares no horizon")
     tr = Trace.__new__(Trace)
-    tr._build(horizon, raw, order)
+    tr._build(horizon, names, p_col, q_col, r_col, s_col)
     return tr
 
 

@@ -44,6 +44,15 @@ class TestParse:
         assert code == 0
         assert out.strip() == "(dminus [0,2] (pred q))"
 
+    @pytest.mark.parametrize("command", [("parse",), ("rewrite", "--mode", "mitl")])
+    def test_byte_order_mark_is_not_text(self, capsys, tmp_path, command):
+        plain, marked = tmp_path / "plain.bmtl", tmp_path / "marked.bmtl"
+        plain.write_text("bplus[1,2] (p & q)\n")
+        marked.write_bytes("\ufeffbplus[1,2] (p & q)\n".encode())
+        want = run(capsys, *command, "--file", str(plain))
+        assert want[0] == 0
+        assert run(capsys, *command, "--file", str(marked)) == want
+
     def test_missing_file_exits_4(self, capsys, tmp_path):
         code, _, err = run(capsys, "parse", "--file", str(tmp_path / "absent"))
         assert code == 4
@@ -233,6 +242,22 @@ class TestEval:
         assert out == ""
         assert err.startswith("error: ") and "not UTF-8" in err
         assert err.count("\n") == 1
+
+    def test_byte_order_mark_is_not_text(self, capsys, tmp_path):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(TRACE_TEXT)
+        marked.write_bytes(b"\xef\xbb\xbf" + TRACE_TEXT.encode())
+        want = run(capsys, "eval", "--trace", str(plain), "dminus[1,2] p")
+        assert want[0] == 0
+        assert run(capsys, "eval", "--trace", str(marked), "dminus[1,2] p") == want
+
+    def test_non_utf8_byte_after_a_byte_order_mark_is_counted_from_the_file_start(
+            self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"\xef\xbb\xbfhorizon [0,10]\n\xff\n")
+        code, out, err = run(capsys, "eval", "--trace", str(path), "p")
+        assert code == 4
+        assert "at byte 18)" in err
 
     def test_internal_error_exits_6(self, capsys, monkeypatch, trace_file):
         def broken(*_):

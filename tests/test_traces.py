@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bmtl import traces
 from bmtl.errors import (
     BmtlError,
     FactOutsideHorizonError,
@@ -244,15 +245,20 @@ def _spaced(draw, *tokens):
 
 
 @st.composite
-def _fact_lines(draw, name, lo, hi):
+def _fact_lines(draw, name, lo, hi, tidy=False):
+    """A fact line; tidy ones are spaced as format_trace spaces them."""
     lo_text, hi_text = draw(_rational_texts(lo)), draw(_rational_texts(hi))
+    if tidy:
+        return f"{name} @ [{lo_text},{hi_text}]"
     line = draw(_spaced(name, "@", "[", lo_text, ",", hi_text, "]"))
     return line + draw(st.sampled_from(("", "  # note")))
 
 
 @st.composite
-def _horizon_lines(draw, lo, hi):
+def _horizon_lines(draw, lo, hi, tidy=False):
     lo_text, hi_text = draw(_rational_texts(lo)), draw(_rational_texts(hi))
+    if tidy:
+        return f"horizon [{lo_text},{hi_text}]"
     return draw(_spaced("horizon", "[", lo_text, ",", hi_text, "]"))
 
 
@@ -260,9 +266,14 @@ def _horizon_lines(draw, lo, hi):
 def _valid_trace_texts(draw):
     """Horizon and fact lines with denominators 1-13 and negative ends;
     spans overlap, touch (one starts where the last one ended) or repeat
-    an earlier span."""
+    an earlier span.  Half the texts are tidy, spaced as format_trace
+    spaces its lines, with no comment and no blank line, so that
+    parse_trace reads them in one scan; the others may start with a
+    comment line."""
     a, b = sorted(draw(st.lists(_VALUES, min_size=2, max_size=2, unique=True)))
-    lines = ["# header", draw(_horizon_lines(a, b))]
+    tidy = draw(st.booleans())
+    header = [] if tidy or draw(st.booleans()) else ["# header"]
+    lines = header + [draw(_horizon_lines(a, b, tidy))]
     spans = []
     for _ in range(draw(st.integers(0, 12))):
         shape = draw(st.sampled_from(("fresh", "touch", "repeat")))
@@ -273,8 +284,8 @@ def _valid_trace_texts(draw):
             y = draw(_VALUES)
             lo, hi = sorted((min(max(x, a), b), min(max(y, a), b)))
         spans.append((lo, hi))
-        lines.append(draw(_fact_lines(draw(st.sampled_from("pqr")), lo, hi)))
-        if draw(st.integers(0, 5)) == 0:
+        lines.append(draw(_fact_lines(draw(st.sampled_from("pqr")), lo, hi, tidy)))
+        if not tidy and draw(st.integers(0, 5)) == 0:
             lines.append("")
     return "\n".join(lines) + "\n"
 
@@ -317,7 +328,7 @@ def _outside_fact_lines(draw, text):
         lo, hi = horizon.lo - past, horizon.lo
     else:
         lo, hi = horizon.hi, horizon.hi + past
-    return draw(_fact_lines(draw(st.sampled_from("pqr")), lo, hi))
+    return draw(_fact_lines(draw(st.sampled_from("pqr")), lo, hi, draw(st.booleans())))
 
 
 @st.composite
@@ -326,14 +337,15 @@ def _broken_trace_texts(draw):
     malformed line after it, so the first error must win."""
     text = draw(_valid_trace_texts())
     lines = text.splitlines()
+    first = 0 if lines[0].startswith("horizon") else 1
     kind = draw(st.sampled_from(("line", "outside", "horizon", "missing")))
     if kind == "horizon":
         # a zero denominator, an empty or inverted horizon, or no horizon line
-        lines[1] = draw(st.sampled_from(_BROKEN_HORIZONS))
+        lines[first] = draw(st.sampled_from(_BROKEN_HORIZONS))
     elif kind == "missing":
         lines = draw(st.sampled_from(([], ["", "# only a comment"], ["  "])))
     else:
-        at = draw(st.integers(2, len(lines)))
+        at = draw(st.integers(first + 1, len(lines)))
         if kind == "outside":
             lines.insert(at, draw(_outside_fact_lines(text)))
         else:
@@ -384,6 +396,92 @@ class TestAgainstReferenceIngest:
         want = _outcome(_reference_parse_trace, text)
         assert want is not None
         assert _outcome(parse_trace, text) == want
+
+
+_TOO_LONG = "9" * (sys.get_int_max_str_digits() + 1)
+
+
+@st.composite
+def _odd_lines(draw, a, b):
+    """A line for a trace on the horizon [a, b]: one in format_trace's
+    spelling that some check refuses, a malformed one, or a valid one in
+    another spelling."""
+    past = F(1, draw(st.integers(1, 13)))
+    digits = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                         "\u0665\u0666\u0667\u0668\u0669")
+    return draw(st.sampled_from((
+        # refused in format_trace's spelling
+        "p @ [1/0,2]", "q @ [1,2/00]", f"p @ [{b},{a}]", "horizon [0,1]",
+        f"horizon [{b},{a}]", f"horizon [{a},{a}]", "horizon [0,1/0]",
+        f"q @ [{a - past},{a}]", f"r @ [{b},{b + past}]",
+        f"p @ [0,{_TOO_LONG}]", f"p @ [1/{_TOO_LONG},{b}]", f"horizon [{a},{_TOO_LONG}]",
+        # malformed
+        "p @ [1,2] x", "p @@ [1,2]", "p @ [1,]", "p @ [1, 2]", " p @ [1,2]",
+        # other spellings of valid lines
+        "", "# note", f"p @ [{a},{b}]  # note", f"p\t@ [{a},{b}]", f"p @ [{a},{b}]\r",
+        f"p @ [{a},{a}]\x0cq @ [{b},{b}]", f"p @ [{a},{a}]\u2028q @ [{b},{b}]",
+        f"p\xa0@ [{a},{b}]", f"p @ [{str(a).translate(digits)},{str(b).translate(digits)}]",
+    )))
+
+
+@st.composite
+def _scan_texts(draw):
+    """A trace text in format_trace's spelling, ends unreduced or with
+    leading zeros at times, with up to three odd lines put in anywhere."""
+    a, b = sorted(draw(st.lists(_VALUES, min_size=2, max_size=2, unique=True)))
+    lines = [draw(_horizon_lines(a, b, tidy=True))]
+    for _ in range(draw(st.integers(0, 12))):
+        lo, hi = sorted(min(max(draw(_VALUES), a), b) for _ in range(2))
+        name = draw(st.sampled_from(("p", "q", "r", "x_1", "horizon")))
+        lines.append(draw(_fact_lines(name, lo, hi, tidy=True)))
+    for _ in range(draw(st.integers(0, 3))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_odd_lines(a, b)))
+    return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
+
+
+def _result(parse, text):
+    """What parse makes of text: the trace, its hash and scale, or the
+    error's class, message and line."""
+    try:
+        tr = parse(text)
+    except BmtlError as e:
+        return type(e), str(e), getattr(e, "line", None)
+    return tr, hash(tr), tr.scale
+
+
+class TestScan:
+    @settings(max_examples=400)
+    @given(_scan_texts())
+    @example("horizon [0,10]")
+    @example("horizon [0,10]\n")
+    @example("horizon [0,10]\n\n")
+    @example("horizon [0,10]\np @ [1,2]")
+    @example("horizon [0,10]\np @ [1,2]\r\nq @ [3,4]\r\n")
+    @example("horizon\x0c[0,10]\np @ [1,2]\n")
+    @example("horizon [0,10]\np @ [1,2]\n\x0c\n")
+    @example("horizon [0,3/3]\np @ [2/4,6/8]\nq @ [-0/9,10/15]\n")
+    @example("horizon [3,3]\np @ [3,3]\n")
+    @example(f"horizon [0,10]\np @ [0,{_TOO_LONG}]\np @@ x\n")
+    def test_scan_and_loop_agree(self, text):
+        assert _result(parse_trace, text) == _result(traces._parse_lines, text)
+
+    def test_format_trace_spelling_is_read_in_one_scan(self, monkeypatch):
+        n = 300
+        tr = Trace(Interval(F(-1), F(2000)),
+                   [Fact("pqr"[i % 3], Interval(F(2 * i, 3), F(6 * i + 1, 3))) for i in range(n)])
+        text = format_trace(tr)
+        # the per-line loop matches fact lines with _FACT_RE
+        monkeypatch.setattr(traces, "_FACT_RE", re.compile(r"(?!)"))
+        assert parse_trace(text) == tr
+        with pytest.raises(ParseError, match="malformed trace line"):
+            parse_trace(text.replace(" @ ", "  @ ", 1))
+
+    def test_each_of_many_predicates_keeps_its_spans(self):
+        n = 2000
+        text = "horizon [0,10]\n" + "".join(f"p{i} @ [0,1]\np{i} @ [2,3]\n" for i in range(n))
+        tr = parse_trace(text)
+        assert tr.spans("p1999") == ([0, 2], [1, 3])
+        assert format_trace(tr) == text
 
 
 class TestIntegerIngest:
