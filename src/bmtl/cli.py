@@ -215,6 +215,12 @@ def _add_formula_args(sub: argparse.ArgumentParser):
     sub.add_argument("--json", action="store_true", help="machine-readable output")
 
 
+def _add_mode_args(sub: argparse.ArgumentParser):
+    sub.add_argument("--mode", choices=("punctual", "mitl"), required=True)
+    sub.add_argument("--kappa", type=_fraction_arg, default=None)
+    sub.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None)
+
+
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
         prog="bmtl",
@@ -228,9 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rw = subs.add_parser("rewrite", help="normalize away boxes and diamonds")
     _add_formula_args(p_rw)
-    p_rw.add_argument("--mode", choices=("punctual", "mitl"), required=True)
-    p_rw.add_argument("--kappa", type=_fraction_arg, default=None)
-    p_rw.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None)
+    _add_mode_args(p_rw)
     p_rw.add_argument("--report", action="store_true", help="list applied rules")
     p_rw.set_defaults(func=_cmd_rewrite)
 
@@ -244,9 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.set_defaults(func=_cmd_census)
 
     p_check = subs.add_parser("check", help="run a rewrite-equivalence campaign")
-    p_check.add_argument("--mode", choices=("punctual", "mitl"), required=True)
-    p_check.add_argument("--kappa", type=_fraction_arg, default=None)
-    p_check.add_argument("--lambda", dest="lam", type=_fraction_arg, default=None)
+    _add_mode_args(p_check)
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--trials", type=int, default=100)
     p_check.add_argument(

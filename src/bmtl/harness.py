@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .errors import ConfigError, FactOutsideHorizonError
+from .errors import ConfigError
 from .evaluate import eval_truth_set, reliable_region
 from .intervals import Interval, IntervalSet, rat
 from .oracle import oracle_first_difference
@@ -186,8 +186,8 @@ def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
 
     Each fact draws its predicate, a denominator d and the ends a/d and
     b/d with a <= b, both within the horizon.  The draws stay ints: their
-    columns go straight to the trace's conversion core, after the check
-    Trace() would make, done here by cross-multiplication.
+    columns go straight to the trace's conversion core, which checks each
+    span as it checks a parsed one.
     """
     rng = _stream(cfg.seed, _TAG_TRACE, stream_index)
     half = cfg.horizon_length / 2
@@ -199,9 +199,6 @@ def gen_trace(cfg: GenConfig, stream_index: int) -> Trace:
         hi_n = h_num * d // h_den
         a = rng.randint(-hi_n, hi_n)
         b = rng.randint(a, hi_n)
-        if not -h_num * d <= a * h_den <= b * h_den <= h_num * d:
-            raise FactOutsideHorizonError(f"fact {name} @ [{Fraction(a, d)},{Fraction(b, d)}] "
-                                          f"lies outside horizon [{-half},{half}]")
         names.append(name)
         los.append(a)
         dens.append(d)

@@ -35,7 +35,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int]
 
@@ -239,11 +239,10 @@ class IntervalSet:
         return "{" + ", ".join(str(p) for p in self.parts) + "}"
 
 
-def coalesce(raw: Iterable[Optional[Interval]]) -> IntervalSet:
-    """Canonicalize a raw collection of intervals (Nones are dropped), in
-    any order: their codes at the lcm of their ends' denominators, sorted
-    and fused."""
-    parts = [p for p in raw if p is not None]
+def coalesce(raw: Iterable[Interval]) -> IntervalSet:
+    """Canonicalize a raw collection of intervals, in any order: their
+    codes at the lcm of their ends' denominators, sorted and fused."""
+    parts = list(raw)
     scale = _scale(parts)
     it = iter(encode(parts, scale))
     return decode(fuse_runs(sorted(zip(it, it))), scale)

@@ -28,34 +28,35 @@ computed on each read and nothing is cached: :meth:`Trace.truth_base`
 coalesces the spans as Fractions, and ``facts`` builds them in fact
 order.
 
-One core, ``Trace._build``, turns the facts into that form.  It takes
-them in fact order as columns: the names, and the ints p, q, r, s of
-each span [p/q, r/s].  It makes one factor per denominator, scales each
-column with ``map``, divides out the gcd of the surplus that unreduced
-ends such as 2/4 leave in scale, and groups the ends by predicate in
-one pass.  It checks nothing; each way in checks its own input.
+One core, ``Trace._build``, turns the facts into that form, and it is
+the one check of a fact's span.  It takes them in fact order as columns:
+the names, and the ints p, q, r, s of each span [p/q, r/s].  It makes one
+factor per denominator, scales each column with ``map``, divides out the
+gcd of the surplus that unreduced ends such as 2/4 leave in scale, and
+groups the ends by predicate in one pass.  On the scaled ints, over the
+whole batch, it refuses the first fact in fact order that is inverted
+(``ParseError``) or outside the horizon (``FactOutsideHorizonError``), at
+that fact's line when the caller gives the lines; a Fraction is built
+only for the message.  ``Trace(horizon, facts)``, which checks that the
+horizon is closed and wide, ``parse_trace`` and ``harness.gen_trace`` all
+hand it columns and check no span themselves.
 
-``parse_trace`` reads a text in one scan when the text is ASCII, its
-first line is a horizon line, and every later line is spelled exactly as
-``format_trace`` writes it, ``NAME @ [R,R]``: one regex ``findall`` must
-match each of those lines, and the columns are converted with ``map(int,
-...)``, each distinct denominator once.  The whole batch is then checked
-with no Fraction per fact: zero denominators, a number past the int
-conversion limit, inverted spans and facts outside the horizon, the last
-two on the scaled ints.  Any other text, and any text that fails a
-check, is read again from the start by the per-line loop, the only
-reader that reports errors: blank lines, comments, other spacing, other
-line breaks (``\\r``, ``\\x0c``, ``\\u2028``), NBSP and non-ASCII
-digits all take it, with the same result the loop always gave.  The loop
-reads each endpoint as a pair of ints and makes its per-line checks,
-inverted span and containment in the horizon, by cross-multiplication,
-so an outside fact is reported at its own line even when a later line
-is malformed.  It builds Fractions only for an error message, which
-names the normalized values (``-04/6`` reads as ``-2/3``).
-``Trace(horizon, facts)`` checks that the horizon is closed and wide,
-then each fact's containment in fact order, naming the first offender.
-``harness.gen_trace`` hands its int draws straight to the core, after
-checking them in ints as well.
+``parse_trace`` reads a text in two steps.  A tokenizer cuts it up and
+reads no number: it gives the horizon's line and text, the facts' text
+columns and lines, and the first line refused for its spelling (malformed,
+or a second horizon).  ``_scan`` is one findall over a text in
+``format_trace``'s spelling: ASCII, a horizon line first, and every later
+line exactly ``NAME @ [R,R]``.  Any other text goes to ``_read_lines``,
+which cuts it up line by line, takes blank lines, comments, other spacing,
+other line breaks (``\\r``, ``\\x0c``, ``\\u2028``), NBSP and non-ASCII
+digits, and raises a missing or malformed horizon line itself.  The rest
+is done once, the same for both: the horizon is read, the columns are
+converted with ``map(int, ...)``, each distinct denominator once, the
+facts before the refused line are built, and then that line is raised.
+A zero denominator or a number past the int conversion limit fails the
+bulk conversion; ``_ends`` then converts fact by fact to name the first
+such fact, after the facts before it.  So each error is the first in the
+text, at its own line, whichever tokenizer cut it up.
 """
 
 from __future__ import annotations
@@ -108,10 +109,6 @@ class Trace:
             raise ValueError("horizon must have positive width")
         names, p, q, r, s = [], [], [], [], []
         for fact in facts:
-            if not horizon.contains_interval(fact.span):
-                raise FactOutsideHorizonError(
-                    f"fact {fact.predicate} @ {fact.span} lies outside horizon {horizon}"
-                )
             lo, hi = fact.span.lo, fact.span.hi
             names.append(fact.predicate)
             p.append(lo.numerator)
@@ -121,9 +118,13 @@ class Trace:
         self._build(horizon, names, p, q, r, s)
 
     def _build(self, horizon: Interval, names: list[str], p: Sequence[int],
-               q: Sequence[int], r: Sequence[int], s: Sequence[int]) -> None:
-        """The one core: the facts in fact order as columns, each fact
-        names[i] @ [p[i]/q[i], r[i]/s[i]], checked, q and s positive."""
+               q: Sequence[int], r: Sequence[int], s: Sequence[int],
+               lines: Optional[Sequence[int]] = None) -> None:
+        """The one core, and the one check of a fact's span: the facts in
+        fact order as columns, each fact names[i] @ [p[i]/q[i], r[i]/s[i]]
+        with q and s positive.  It refuses the first fact in fact order that
+        is inverted (ParseError) or outside the horizon
+        (FactOutsideHorizonError), at lines[i] when lines are given."""
         h = math.lcm(horizon.lo.denominator, horizon.hi.denominator)
         dens = {*q, *s}
         scale = math.lcm(h, *dens)
@@ -136,6 +137,17 @@ class Trace:
             scale //= surplus
             los = [v // surplus for v in los]
             his = [v // surplus for v in his]
+        first = horizon.lo.numerator * (scale // horizon.lo.denominator)
+        last = horizon.hi.numerator * (scale // horizon.hi.denominator)
+        if los and (min(los) < first or max(his) > last or any(map(gt, los, his))):
+            i = next(i for i, (lo, hi) in enumerate(zip(los, his))
+                     if not first <= lo <= hi <= last)
+            lo, hi = Fraction(los[i], scale), Fraction(his[i], scale)
+            line = None if lines is None else lines[i]
+            if lo > hi:
+                raise ParseError(f"inverted fact span [{lo},{hi}]", line)
+            raise FactOutsideHorizonError(
+                f"fact {names[i]} @ {Interval(lo, hi)} lies outside horizon {horizon}", line)
         spans = {name: ([], []) for name in dict.fromkeys(names)}
         for name, lo, hi in zip(names, los, his):
             name_los, name_his = spans[name]
@@ -183,12 +195,12 @@ class Trace:
         return f"Trace(horizon={self.horizon!r}, facts={self.facts!r})"
 
 
-def _ends(a: str, b: Optional[str], c: str, d: Optional[str], lineno: int):
-    """The matched span [a/b, c/d] as ints (p, q, r, s), q and s positive."""
+def _ends(a: str, b: str, c: str, d: str, lineno: int):
+    """The matched span [a/b, c/d] as ints (p, q, r, s), q and s positive;
+    b or d is "" where the text leaves the denominator out."""
     try:
         p, r = int(a), int(c)
-        q = 1 if b is None else int(b)
-        s = 1 if d is None else int(d)
+        q, s = int(b or "1"), int(d or "1")
     except ValueError:  # only a number past the int conversion limit gets here
         limit = sys.get_int_max_str_digits()
         raise ParseError(f"number longer than {limit} digits", lineno) from None
@@ -199,15 +211,42 @@ def _ends(a: str, b: Optional[str], c: str, d: Optional[str], lineno: int):
 
 
 def parse_trace(text: str) -> Trace:
-    """The trace text spells: read in one scan when it is in
-    format_trace's spelling and passes every check, else line by line."""
-    tr = _scan(text)
-    return tr if tr is not None else _parse_lines(text)
+    """The trace text spells.  Either tokenizer cuts it up; the horizon,
+    the conversion to ints and the facts are read here, the same for
+    both, and the first error in the text is raised at its line."""
+    hline, hends, names, a, b, c, d, lines, refused = _scan(text) or _read_lines(text)
+    p, q, r, s = _ends(*hends, hline)
+    lo, hi = Fraction(p, q), Fraction(r, s)
+    if lo >= hi:
+        raise ParseError(f"horizon [{lo},{hi}] must have positive width", hline)
+    try:
+        den = {t: int(t or "1") for t in {*b, *d}}
+        cols = (list(map(int, a)), list(map(den.__getitem__, b)),
+                list(map(int, c)), list(map(den.__getitem__, d)))
+        converted = 0 not in den.values()
+    except ValueError:  # a number past the int conversion limit
+        converted = False
+    if not converted:
+        # fact by fact: _ends names the first that does not convert, and
+        # the facts before it are built first, so a fault among them wins
+        cols = ([], [], [], [])
+        try:
+            for row in zip(a, b, c, d, lines):
+                for col, v in zip(cols, _ends(*row)):
+                    col.append(v)
+        except ParseError as e:
+            refused = e
+        names, lines = names[:len(cols[0])], lines[:len(cols[0])]
+    tr = Trace.__new__(Trace)
+    tr._build(Interval(lo, hi), names, *cols, lines)
+    if refused is not None:
+        raise refused
+    return tr
 
 
-def _scan(text: str) -> Optional[Trace]:
-    """text read in one scan if it is in format_trace's spelling and
-    passes every check, else None."""
+def _scan(text: str):
+    """text cut up in one findall, as _read_lines cuts it up, when it is
+    in format_trace's spelling, else None."""
     head, _, body = text.partition("\n")
     m = _HORIZON_RE.match(head)
     # the \s of _HORIZON_RE also takes \r and \x0c, where splitlines splits
@@ -218,38 +257,16 @@ def _scan(text: str) -> Optional[Trace]:
     if len(rows) != body.count("\n") + (body[-1:] not in ("", "\n")):
         return None
     names, a, b, c, d = zip(*rows) if rows else ((),) * 5
-    try:
-        lo_num, lo_den, hi_num, hi_den = map(int, m.groups(default="1"))
-        den = {t: int(t or "1") for t in {*b, *d}}
-        p, r = list(map(int, a)), list(map(int, c))
-    except ValueError:  # a number past the int conversion limit
-        return None
-    if not (lo_den and hi_den and all(den.values())):
-        return None
-    lo, hi = Fraction(lo_num, lo_den), Fraction(hi_num, hi_den)
-    if lo >= hi:
-        return None
-    tr = Trace.__new__(Trace)
-    tr._build(Interval(lo, hi), list(names), p, list(map(den.__getitem__, b)),
-              r, list(map(den.__getitem__, d)))
-    # every span upright and inside the horizon, read in ints
-    first = lo.numerator * (tr.scale // lo.denominator)
-    last = hi.numerator * (tr.scale // hi.denominator)
-    for los, his in tr._spans.values():
-        if min(los) < first or max(his) > last or any(map(gt, los, his)):
-            return None
-    return tr
+    return 1, m.groups(""), list(names), a, b, c, d, range(2, len(rows) + 2), None
 
 
-def _parse_lines(text: str) -> Trace:
-    """text read line by line: the only reader that reports errors."""
-    horizon: Optional[Interval] = None
-    # each fact in fact order: predicate, ends as (p, q, r, s) for [p/q, r/s]
-    names: list[str] = []
-    p_col: list[int] = []
-    q_col: list[int] = []
-    r_col: list[int] = []
-    s_col: list[int] = []
+def _read_lines(text: str):
+    """text cut up line by line, in any spelling: the horizon's line and
+    its texts, the facts' text columns (names, then a, b, c, d of each span
+    [a/b, c/d]) and lines, and the ParseError of the first line refused for
+    its spelling, or None.  A missing or malformed horizon line raises."""
+    head = refused = None
+    names, a, b, c, d, lines = [], [], [], [], [], []
     fact_match = _FACT_RE.match
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
@@ -257,7 +274,7 @@ def _parse_lines(text: str) -> Trace:
         line = line.strip()
         if not line:
             continue
-        if horizon is None:
+        if head is None:
             m = _HORIZON_RE.match(line)
             if m is None:
                 if re.match(r"horizon\b", line) and not fact_match(line):
@@ -265,39 +282,23 @@ def _parse_lines(text: str) -> Trace:
                 raise MissingHorizonError(
                     "first line must declare the horizon, e.g. 'horizon [-5,10]'", lineno
                 )
-            p, q, r, s = _ends(*m.groups(), lineno)
-            lo, hi = Fraction(p, q), Fraction(r, s)
-            if lo >= hi:
-                raise ParseError(f"horizon [{lo},{hi}] must have positive width", lineno)
-            horizon = Interval(lo, hi)
-            h_lo, h_lo_den = lo.numerator, lo.denominator
-            h_hi, h_hi_den = hi.numerator, hi.denominator
+            head = lineno, m.groups("")
             continue
         m = fact_match(line)
         if m is None:
-            if _HORIZON_RE.match(line):
-                raise ParseError("duplicate horizon line", lineno)
-            raise ParseError(f"malformed trace line: {line!r}", lineno)
-        name, a, b, c, d = m.groups()
-        p, q, r, s = _ends(a, b, c, d, lineno)
-        # the denominators are positive, so both checks cross-multiply
-        if p * s > r * q:
-            raise ParseError(f"inverted fact span [{Fraction(p, q)},{Fraction(r, s)}]", lineno)
-        if p * h_lo_den < h_lo * q or r * h_hi_den > h_hi * s:
-            span = Interval(Fraction(p, q), Fraction(r, s))
-            raise FactOutsideHorizonError(
-                f"fact {name} @ {span} lies outside horizon {horizon}", lineno
-            )
+            refused = ParseError("duplicate horizon line" if _HORIZON_RE.match(line)
+                                 else f"malformed trace line: {line!r}", lineno)
+            break
+        name, lo_num, lo_den, hi_num, hi_den = m.groups("")
         names.append(name)
-        p_col.append(p)
-        q_col.append(q)
-        r_col.append(r)
-        s_col.append(s)
-    if horizon is None:
+        a.append(lo_num)
+        b.append(lo_den)
+        c.append(hi_num)
+        d.append(hi_den)
+        lines.append(lineno)
+    if head is None:
         raise MissingHorizonError("trace declares no horizon")
-    tr = Trace.__new__(Trace)
-    tr._build(horizon, names, p_col, q_col, r_col, s_col)
-    return tr
+    return *head, names, a, b, c, d, lines, refused
 
 
 def _ratio_text(v: int, scale: int) -> str:

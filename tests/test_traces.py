@@ -439,6 +439,62 @@ def _scan_texts(draw):
     return "\n".join(lines) + draw(st.sampled_from(("\n", "")))
 
 
+def _reference_parse_lines(text):
+    """The per-line reader as it was before it became a tokenizer: it
+    converts and checks each line as it reads it, so an error is the
+    first in the text by construction."""
+    horizon = None
+    # each fact in fact order: predicate, ends as (p, q, r, s) for [p/q, r/s]
+    names, p_col, q_col, r_col, s_col = [], [], [], [], []
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = line.split("#", 1)[0]
+        line = line.strip()
+        if not line:
+            continue
+        if horizon is None:
+            m = _REF_HORIZON_RE.match(line)
+            if m is None:
+                if re.match(r"horizon\b", line) and not _REF_FACT_RE.match(line):
+                    raise ParseError(f"malformed horizon line: {line!r}", lineno)
+                raise MissingHorizonError(
+                    "first line must declare the horizon, e.g. 'horizon [-5,10]'", lineno
+                )
+            p, q, r, s = traces._ends(*m.groups(), lineno)
+            lo, hi = F(p, q), F(r, s)
+            if lo >= hi:
+                raise ParseError(f"horizon [{lo},{hi}] must have positive width", lineno)
+            horizon = Interval(lo, hi)
+            h_lo, h_lo_den = lo.numerator, lo.denominator
+            h_hi, h_hi_den = hi.numerator, hi.denominator
+            continue
+        m = _REF_FACT_RE.match(line)
+        if m is None:
+            if _REF_HORIZON_RE.match(line):
+                raise ParseError("duplicate horizon line", lineno)
+            raise ParseError(f"malformed trace line: {line!r}", lineno)
+        name, a, b, c, d = m.groups()
+        p, q, r, s = traces._ends(a, b, c, d, lineno)
+        # the denominators are positive, so both checks cross-multiply
+        if p * s > r * q:
+            raise ParseError(f"inverted fact span [{F(p, q)},{F(r, s)}]", lineno)
+        if p * h_lo_den < h_lo * q or r * h_hi_den > h_hi * s:
+            span = Interval(F(p, q), F(r, s))
+            raise FactOutsideHorizonError(
+                f"fact {name} @ {span} lies outside horizon {horizon}", lineno
+            )
+        names.append(name)
+        p_col.append(p)
+        q_col.append(q)
+        r_col.append(r)
+        s_col.append(s)
+    if horizon is None:
+        raise MissingHorizonError("trace declares no horizon")
+    tr = Trace.__new__(Trace)
+    tr._build(horizon, names, p_col, q_col, r_col, s_col)
+    return tr
+
+
 def _result(parse, text):
     """What parse makes of text: the trace, its hash and scale, or the
     error's class, message and line."""
@@ -463,18 +519,36 @@ class TestScan:
     @example("horizon [3,3]\np @ [3,3]\n")
     @example(f"horizon [0,10]\np @ [0,{_TOO_LONG}]\np @@ x\n")
     def test_scan_and_loop_agree(self, text):
-        assert _result(parse_trace, text) == _result(traces._parse_lines, text)
+        assert _result(parse_trace, text) == _result(_reference_parse_lines, text)
 
     def test_format_trace_spelling_is_read_in_one_scan(self, monkeypatch):
         n = 300
         tr = Trace(Interval(F(-1), F(2000)),
                    [Fact("pqr"[i % 3], Interval(F(2 * i, 3), F(6 * i + 1, 3))) for i in range(n)])
         text = format_trace(tr)
-        # the per-line loop matches fact lines with _FACT_RE
+        # the per-line reader matches fact lines with _FACT_RE
         monkeypatch.setattr(traces, "_FACT_RE", re.compile(r"(?!)"))
         assert parse_trace(text) == tr
         with pytest.raises(ParseError, match="malformed trace line"):
             parse_trace(text.replace(" @ ", "  @ ", 1))
+
+    @pytest.mark.parametrize("text,error,message,line", [
+        ("horizon [0,10]\np @ [1,2]\np @ [8,11]\n", FactOutsideHorizonError,
+         "fact p @ [8,11] lies outside horizon [0,10]", 3),
+        ("horizon [0,10]\np @ [1/0,2]\n", ParseError, "zero denominator in '1/0'", 2),
+        ("horizon [0,10]\np @ [4,2]\n", ParseError, "inverted fact span [4,2]", 2),
+        (f"horizon [0,10]\np @ [1,{_TOO_LONG}]\n", ParseError,
+         f"number longer than {sys.get_int_max_str_digits()} digits", 2),
+    ], ids=("outside", "zero-denominator", "inverted", "too-long"))
+    def test_format_trace_spelling_reports_its_own_errors(self, monkeypatch, text, error,
+                                                          message, line):
+        # with the per-line reader's fact pattern broken, each error must
+        # still be its own, at its own line, not a malformed line
+        monkeypatch.setattr(traces, "_FACT_RE", re.compile(r"(?!)"))
+        with pytest.raises(ParseError) as exc:
+            parse_trace(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == f"{message} at line {line}" and exc.value.line == line
 
     def test_each_of_many_predicates_keeps_its_spans(self):
         n = 2000
