@@ -19,15 +19,15 @@ import os
 import re
 import sys
 from fractions import Fraction
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import BmtlError, OutputTooLargeError, RewriteError
 from .evaluate import eval_truth_set, reliable_region
 from .harness import MAX_DEPTH_CAP, GenConfig, run_campaign
 from .intervals import Interval
 from .parser import parse_formula
-from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
-from .syntax import Formula, census, print_formula, s_expression
+from .rewrite import Punctual, RewriteMode, RuleApplication, SingletonFree, normalize
+from .syntax import MAX_PRINTED_CHARS, Formula, census, print_formula, s_expression
 from .traces import RATIONAL, parse_trace
 
 EXIT_OK = 0
@@ -127,27 +127,50 @@ def _cmd_parse(ns) -> int:
     return EXIT_OK
 
 
+def _capped(items: Iterable[str]) -> list[str]:
+    """The items, drawn one at a time: refused once their text, with a
+    separator after each, would pass MAX_PRINTED_CHARS, so no item past
+    the cap is ever built."""
+    out, size = [], 0
+    for item in items:
+        size += len(item) + 1
+        if size > MAX_PRINTED_CHARS:
+            raise OutputTooLargeError(
+                f"rewrite report longer than {MAX_PRINTED_CHARS:,} characters")
+        out.append(item)
+    return out
+
+
+def _applied_text(app: RuleApplication) -> str:
+    where = ".".join(map(str, app.path)) or "root"
+    extra = f" kappa={app.kappa} lambda={app.lam}" if app.kappa is not None else ""
+    return f"applied {app.rule} at {where}{extra}"
+
+
+def _applied_json(app: RuleApplication) -> str:
+    slack = {"kappa": str(app.kappa), "lambda": str(app.lam)} if app.kappa is not None else {}
+    return json.dumps({"rule": app.rule, "path": list(app.path)} | slack)
+
+
 def _cmd_rewrite(ns) -> int:
     f = _load_formula(ns)
     mode = _build_mode(ns)
     report = normalize(f, mode)
+    formula = print_formula(report.output)
+    # a log's paths grow with depth, so its text can grow with the square
+    # of it: it is spelled out one application at a time, up to the cap
     if ns.json:
-        payload = {"formula": print_formula(report.output)}
+        out = json.dumps({"formula": formula})
         if ns.report:
-            payload["applied"] = [
-                {"rule": app.rule, "path": list(app.path)}
-                | ({"kappa": str(app.kappa), "lambda": str(app.lam)}
-                   if app.kappa is not None else {})
-                for app in report.applied
-            ]
-        print(json.dumps(payload))
+            # as json.dumps spells the whole payload
+            applied = ", ".join(_capped(map(_applied_json, report.applied)))
+            out = out[:-1] + f', "applied": [{applied}]}}'
     else:
-        print(print_formula(report.output))
+        lines = [formula]
         if ns.report:
-            for app in report.applied:
-                where = ".".join(str(i) for i in app.path) or "root"
-                extra = f" kappa={app.kappa} lambda={app.lam}" if app.kappa is not None else ""
-                print(f"applied {app.rule} at {where}{extra}")
+            lines += _capped(map(_applied_text, report.applied))
+        out = "\n".join(lines)
+    print(out)
     return EXIT_OK
 
 

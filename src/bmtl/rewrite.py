@@ -253,11 +253,11 @@ def normalize(f: Formula, mode: RewriteMode) -> RewriteReport:
     rule_for = {r.node: rid for rid, r in RULES.items() if r.mode in (None, type(mode))}
     log: list[RuleApplication] = []
     done: list[Formula] = []  # normalized operands awaiting their parent
-    todo: list = [(f, (), None, None)]  # node, link, kept, operands
+    todo: list = [(f, (), (), None)]  # node, link, kept, operands
     while todo:
         node, link, kept, kids = todo.pop()
         if kids is None:
-            if type(node) is Not or (kept and any(node is k for k in kept)):
+            if type(node) is Not or node in kept:
                 done.append(node)
                 continue
             kids = children(node)

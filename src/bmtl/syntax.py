@@ -62,11 +62,11 @@ class Bound:
 
 class Formula:
     """Base of the node classes NODE_TABLE makes.  A weak-value unique
-    table maps each node's key (its class, the id() of each operand, a
-    predicate's name, a bound's four ints) to the one live node with it,
-    so == and hash are identity, O(1) at any depth, and a copy, a deep
-    copy or an unpickled node is the interned node.  ``_scope`` is empty
-    until scope fills it."""
+    table maps each node's key (its class, a bound's four ints and its
+    operands, or a predicate's name) to the one live node with it, so ==
+    and hash are identity, O(1) at any depth, an interned node is its own
+    key in any table, and a copy, a deep copy or an unpickled node is the
+    interned node.  ``_scope`` is empty until scope fills it."""
 
     __slots__ = ("__weakref__", "_operands", "_scope")
 
@@ -87,7 +87,8 @@ _UNIQUE: dict = {}  # node key -> weakref.KeyedRef to the live node with that ke
 
 
 def _forget(ref: weakref.KeyedRef, unique: dict = _UNIQUE) -> None:
-    # runs as the node dies, before its operands (whose ids are in the key) can
+    # runs as the node dies; the key holds its operands, so they outlive
+    # the entry, and dropping it may free them in turn
     if unique.get(ref.key) is ref:
         del unique[ref.key]
 
@@ -103,10 +104,10 @@ def _node_class(name: str, fields: tuple[str, ...]) -> type:
         if bounded:
             kids = (*args[:-2], args[-1])
             lo, hi = args[-2].lo, args[-2].hi
-            key = (cls, lo.numerator, lo.denominator, hi.numerator, hi.denominator, *map(id, kids))
+            key = (cls, lo.numerator, lo.denominator, hi.numerator, hi.denominator, *kids)
         else:
             kids = () if named else args
-            key = (cls, *args) if named else (cls, *map(id, args))
+            key = (cls, *args)
         ref = _UNIQUE.get(key)
         node = ref() if ref is not None else None
         if node is None:
@@ -173,19 +174,19 @@ def fold(f: Formula, step: Callable[[Formula, list], object]):
     Iterative, so depth is not limited by the interpreter's stack; step
     runs once per distinct node object, so shared subtrees cost once.
     """
-    memo: dict[int, object] = {}
+    memo: dict[Formula, object] = {}
     todo: list = [(f, None)]
     while todo:
         node, kids = todo.pop()
         if kids is not None:
-            memo[id(node)] = step(node, [memo[id(k)] for k in kids])
-        elif id(node) not in memo:
+            memo[node] = step(node, [memo[k] for k in kids])
+        elif node not in memo:
             kids = node._operands
             todo.append((node, kids))
             for k in reversed(kids):
-                if id(k) not in memo:
+                if k not in memo:
                     todo.append((k, None))
-    return memo[id(f)]
+    return memo[f]
 
 
 # longest text either printer or repr produces; a shared subtree prints

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -132,6 +133,39 @@ class TestRewrite:
         assert code == 2
         assert out == ""
         assert err == "error: [OUTPUT_TOO_LARGE] formula text longer than 1,000,000 characters\n"
+
+    @pytest.mark.parametrize("json_flag", [(), ("--json",)])
+    def test_oversized_report_exits_2_quickly(self, capsys, tmp_path, json_flag):
+        # 3,000 boxes log 6,000 applications down paths up to 3,000 long:
+        # the log alone would print over 18,000,000 characters, the
+        # formula some 60,000
+        path = tmp_path / "chain.txt"
+        path.write_text("bplus[1,2] " * 3000 + "p")
+        started = time.monotonic()
+        code, out, err = run(
+            capsys, "rewrite", "--mode", "punctual", "--report", *json_flag, "--file", str(path)
+        )
+        assert time.monotonic() - started < 2
+        assert code == 2
+        assert out == ""
+        assert err == "error: [OUTPUT_TOO_LARGE] rewrite report longer than 1,000,000 characters\n"
+
+    def test_report_under_the_cap_prints_whole(self, capsys):
+        # 300 boxes: 600 applications, paths up to 300 long
+        formula = "bplus[1,2] " * 300 + "p"
+        code, text, _ = run(capsys, "rewrite", "--mode", "punctual", "--report", formula)
+        assert code == 0
+        lines = text.splitlines()
+        assert len(lines) == 601
+        assert lines[1] == "applied R-BOXF-P at " + ".".join(["0"] * 299)
+        assert lines[-1] == "applied R-DIA-F at root"
+        code, out, _ = run(capsys, "rewrite", "--mode", "punctual", "--report", "--json", formula)
+        assert code == 0
+        payload = json.loads(out)
+        assert out == json.dumps(payload) + "\n"
+        assert payload["formula"] == lines[0]
+        assert len(payload["applied"]) == 600
+        assert payload["applied"][0] == {"rule": "R-BOXF-P", "path": [0] * 299}
 
     def test_fractional_slack_parses(self, capsys):
         code, out, _ = run(

@@ -6,7 +6,9 @@ too: a RuleApplication compares by its path, spelled out flat.
 """
 
 import copy
+import gc
 import pickle
+import sys
 import time
 import tracemalloc
 from fractions import Fraction as F
@@ -148,6 +150,21 @@ def test_normalize_memory_is_linear_in_depth(mode, box_bound, rules_per_box):
     finally:
         tracemalloc.stop()
     assert peak < 50 * 2**20
+
+
+def test_dropped_chains_leave_the_unique_table(monkeypatch):
+    # a key holds its node's operands: each entry goes as its node dies,
+    # which frees the operands in turn, down the whole chain
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    gc.collect()
+    before = len(syntax_module._UNIQUE)
+    f = chain(("bplus",), Bound(F(1), F(2)))
+    punctual, mitl = normalize(f, Punctual()), normalize(f, SingletonFree())
+    assert len(syntax_module._UNIQUE) > before + 3 * DEPTH
+    del f, punctual, mitl
+    assert len(syntax_module._UNIQUE) == before
+    assert unraisable == []
 
 
 def test_deep_log_compares_hashes_and_prints():

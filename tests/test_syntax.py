@@ -27,6 +27,7 @@ from bmtl.syntax import (
     Until,
     census,
     children,
+    fold,
     print_formula,
     replace_children,
     s_expression,
@@ -40,6 +41,14 @@ from conftest import (
     reference_reach,
     temporal_nesting,
 )
+
+
+def shared_dag():
+    """Every level uses the level below twice: 2**60 root-to-leaf paths."""
+    node = Pred("p")
+    for i in range(1, 61):
+        node = And(DiaPlus(Bound(F(0), F(1, i)), node), node)
+    return node
 
 
 class TestBound:
@@ -178,23 +187,25 @@ class TestStructure:
         subterms, todo = {}, [f]
         while todo:
             node = todo.pop()
-            if id(node) not in subterms:
-                subterms[id(node)] = node
+            if node not in subterms:
+                subterms[node] = None
                 todo.extend(children(node))
-        asked = list(subterms.values())
+        asked = list(subterms)
         rng.shuffle(asked)
         for node in asked:
             assert scope(node) == Scope(*reference_reach(node), bound_lcm(node))
 
     def test_scope_reads_a_shared_subtree_once(self):
-        # every level uses the level below twice: 2**60 root-to-leaf paths
-        node = Pred("p")
-        for i in range(1, 61):
-            node = And(DiaPlus(Bound(F(0), F(1, i)), node), node)
-        s = scope(node)
+        s = scope(shared_dag())
         assert s.scale == math.lcm(*range(1, 61))
         # the longest path runs through every diamond
         assert (s.past, s.future) == (F(0), sum(F(1, i) for i in range(1, 61)))
+
+    def test_fold_steps_once_per_distinct_node(self):
+        # a node is its own memo key: 121 distinct nodes, 2**60 paths
+        stepped = []
+        assert fold(shared_dag(), lambda node, kids: stepped.append(node) or len(stepped)) == 121
+        assert len(set(stepped)) == len(stepped) == 121
 
 
 class TestInterning:
