@@ -26,12 +26,14 @@ from .evaluate import eval_truth_set, reliable_region
 from .harness import (
     CampaignReport,
     GenConfig,
+    Trial,
     TrialFailure,
     Verdict,
     check_equivalence,
     gen_formula,
     gen_trace,
     run_campaign,
+    run_trial,
 )
 from .intervals import Interval, IntervalSet, coalesce, rat
 from .oracle import oracle_eval_many, oracle_first_difference

@@ -32,7 +32,7 @@ from .errors import ConfigError
 from .evaluate import eval_truth_set, reliable_region
 from .intervals import Interval, IntervalSet, rat
 from .oracle import oracle_first_difference
-from .rewrite import Punctual, RewriteMode, SingletonFree, normalize
+from .rewrite import RewriteMode, SingletonFree, normalize
 from .syntax import KINDS_BY_NAME, And, Bound, BoxMinus, BoxPlus, Formula, Not, Pred, print_formula
 from .traces import NAME, Trace, format_trace
 
@@ -264,9 +264,6 @@ class TrialFailure(NamedTuple):
     first_diff: Optional[str] = None
     witness: Optional[str] = None
 
-    def to_json(self) -> dict:
-        return self._asdict()
-
 
 @dataclass
 class CampaignReport:
@@ -282,7 +279,7 @@ class CampaignReport:
         """The report's fields, in order, as JSON values.  vars() of a
         dataclass instance holds its fields in declaration order."""
         config = {name: _json_value(v) for name, v in vars(self.config).items()}
-        return {**vars(self), "config": config, "failures": [f.to_json() for f in self.failures]}
+        return {**vars(self), "config": config, "failures": [f._asdict() for f in self.failures]}
 
 
 def _json_value(v):
@@ -290,71 +287,74 @@ def _json_value(v):
     return str(v) if isinstance(v, Fraction) else list(v) if isinstance(v, tuple) else v
 
 
-def _wrapper_box(cfg: GenConfig, rng: random.Random, mode: RewriteMode, body: Formula) -> Formula:
-    future = rng.random() < 0.5
-    if isinstance(mode, SingletonFree):
-        bound = _mitl_box_bound(cfg, rng)
-    else:
-        bound = _any_bound(cfg, rng, singleton_free=False)
-    return (BoxPlus if future else BoxMinus)(bound, body)
-
-
 def _random_slack(cfg: GenConfig, rng: random.Random) -> Fraction:
     d = rng.randint(_least_denominator(cfg, 1), cfg.bound_denominator_max)
     return Fraction(rng.randint(1, int(cfg.bound_max * d)), d)
 
 
-def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
-    """Generate, wrap, normalize and check cfg.trials formulas.
+class Trial(NamedTuple):
+    """One trial's record.  oracle_witness is the oracle's first
+    disagreement with an equal verdict's truth sets, or None."""
 
-    In singleton-free mode with unset slacks, each trial draws its own
-    kappa and lambda from (0, bound_max].  Exit summary counts trials
-    that ran (passes + failures) plus empty-region trials.
-    """
+    formula: Formula
+    mode: RewriteMode
+    normalized: Formula
+    trace: Trace
+    verdict: Verdict
+    oracle_witness: Optional[Fraction] = None
+
+
+def run_trial(cfg: GenConfig, mode: RewriteMode, index: int) -> Trial:
+    """Trial `index` of the campaign (cfg, mode).  Its stream draws the
+    wrapper box's direction and bound, then each unset mitl slack."""
+    rng = _stream(cfg.seed, _TAG_TRIAL, index)
+    mitl = isinstance(mode, SingletonFree)
+    inner = gen_formula(cfg, index, box_bounds="mitl" if mitl else "any")
+    tr = gen_trace(cfg, index)
+    box = BoxPlus if rng.random() < 0.5 else BoxMinus
+    wrapped = box(_mitl_box_bound(cfg, rng) if mitl else _any_bound(cfg, rng, False), inner)
+    if mitl:
+        mode = SingletonFree(
+            kappa=mode.kappa if mode.kappa is not None else _random_slack(cfg, rng),
+            lam=mode.lam if mode.lam is not None else _random_slack(cfg, rng),
+        )
+    normalized = normalize(wrapped, mode).output
+    verdict = check_equivalence(wrapped, normalized, tr)
+    witness = None
+    if verdict.status == "equal":
+        for f, truth in zip((wrapped, normalized), verdict.truths):
+            witness = oracle_first_difference(f, tr, truth, verdict.region)
+            if witness is not None:
+                break
+    return Trial(wrapped, mode, normalized, tr, verdict, witness)
+
+
+def run_campaign(cfg: GenConfig, mode: RewriteMode) -> CampaignReport:
+    """Run and count cfg.trials trials (see run_trial).  The trials compared
+    are the passes plus the failures; empty-region trials count apart."""
     started = time.monotonic()
-    mode_name = "punctual" if isinstance(mode, Punctual) else "mitl"
-    report = CampaignReport(mode=mode_name, config=cfg)
-    box_bounds = "mitl" if isinstance(mode, SingletonFree) else "any"
-    if box_bounds == "mitl":
+    mitl = isinstance(mode, SingletonFree)
+    if mitl:
         _least_denominator(cfg, 2)  # no legal box bound: refuse before the first trial
-    for trial in range(cfg.trials):
-        rng = _stream(cfg.seed, _TAG_TRIAL, trial)
-        inner = gen_formula(cfg, trial, box_bounds=box_bounds)
-        tr = gen_trace(cfg, trial)
-        wrapped = _wrapper_box(cfg, rng, mode, inner)
-        if isinstance(mode, SingletonFree):
-            trial_mode: RewriteMode = SingletonFree(
-                kappa=mode.kappa if mode.kappa is not None else _random_slack(cfg, rng),
-                lam=mode.lam if mode.lam is not None else _random_slack(cfg, rng),
-            )
-        else:
-            trial_mode = mode
-        normalized = normalize(wrapped, trial_mode).output
-        verdict = check_equivalence(wrapped, normalized, tr)
-        if verdict.status == "empty_region":
+    report = CampaignReport(mode="mitl" if mitl else "punctual", config=cfg)
+    for index in range(cfg.trials):
+        t = run_trial(cfg, mode, index)
+        status = t.verdict.status
+        if status == "empty_region":
             report.empty_regions += 1
-            continue
-        report.trials += 1
-        kind = first_diff = None
-        if verdict.status == "not_equal":
-            kind, first_diff, witness = "mismatch", str(verdict.first_diff), verdict.witness
-        else:
-            for f, truth in zip((wrapped, normalized), verdict.truths):
-                witness = oracle_first_difference(f, tr, truth, verdict.region)
-                if witness is not None:
-                    kind = "oracle_mismatch"
-                    break
-        if kind is None:
+        elif status == "equal" and t.oracle_witness is None:
             report.passes += 1
         else:
+            mismatch = status == "not_equal"
             report.failures.append(TrialFailure(
-                trial=trial,
-                kind=kind,
-                formula=print_formula(wrapped),
-                normalized=print_formula(normalized),
-                trace=format_trace(tr),
-                first_diff=first_diff,
-                witness=str(witness),
+                trial=index,
+                kind="mismatch" if mismatch else "oracle_mismatch",
+                formula=print_formula(t.formula),
+                normalized=print_formula(t.normalized),
+                trace=format_trace(t.trace),
+                first_diff=str(t.verdict.first_diff) if mismatch else None,
+                witness=str(t.verdict.witness if mismatch else t.oracle_witness),
             ))
+    report.trials = report.passes + len(report.failures)
     report.wall_time_s = time.monotonic() - started
     return report

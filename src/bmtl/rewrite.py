@@ -248,33 +248,35 @@ def normalize(f: Formula, mode: RewriteMode) -> RewriteReport:
     the input reproduces the output exactly.  A shared subtree is
     rewritten, and logged, once per path.  The walk is iterative and each
     node on it carries its link; a rule's result is walked again at the
-    same link, skipping the operands it carries over, which are normal.
+    same link, passing over every node already finished as normal.
     """
     rule_for = {r.node: rid for rid, r in RULES.items() if r.mode in (None, type(mode))}
     log: list[RuleApplication] = []
     done: list[Formula] = []  # normalized operands awaiting their parent
-    todo: list = [(f, (), (), None)]  # node, link, kept, operands
+    normal: set = set()  # finished nodes at which no rule fired
+    todo: list = [(f, (), None)]  # node, link, operands
     while todo:
-        node, link, kept, kids = todo.pop()
+        node, link, kids = todo.pop()
         if kids is None:
-            if type(node) is Not or node in kept:
+            if type(node) is Not or node in normal:
                 done.append(node)
                 continue
             kids = children(node)
-            todo.append((node, link, kept, kids))
+            todo.append((node, link, kids))
             for i in reversed(range(len(kids))):
-                todo.append((kids[i], (link, i), kept, None))
+                todo.append((kids[i], (link, i), None))
             continue
         operands = tuple(done[len(done) - len(kids) :])
         del done[len(done) - len(kids) :]
         node = replace_children(node, operands)
         rid = rule_for.get(type(node))
         if rid is None:
+            normal.add(node)
             done.append(node)
             continue
         app = RuleApplication(rid, link, *_slack(RULES[rid], mode, node.bound))
         log.append(app)
-        todo.append((_fire(app, node), link, operands, None))
+        todo.append((_fire(app, node), link, None))
     (output,) = done
     return RewriteReport(input=f, output=output, applied=tuple(log))
 

@@ -231,6 +231,17 @@ def test_repr_of_a_deep_chain_and_its_rewrite_report():
     assert text.count("RuleApplication(") == len(report.applied)
 
 
+@pytest.mark.parametrize("mode", [Punctual(), SingletonFree()], ids=["punctual", "mitl"])
+def test_renormalizing_a_mitl_output_is_quick(mode):
+    # the output's 2**30 paths share 152 nodes: the walk finishes each once
+    out = normalize(chain(("bplus",), Bound(F(1), F(2)), depth=30), SingletonFree()).output
+    started = time.monotonic()
+    report = normalize(out, mode)
+    assert time.monotonic() - started < 1
+    assert report.output is out
+    assert report.applied == ()
+
+
 def test_oversized_mitl_repr_is_refused_quickly():
     # the shared box bodies would spell out 2**30 paths
     out = normalize(chain(("bplus",), Bound(F(1), F(2)), depth=30), SingletonFree()).output

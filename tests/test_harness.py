@@ -21,6 +21,7 @@ from bmtl.harness import (
     gen_formula,
     gen_trace,
     run_campaign,
+    run_trial,
 )
 from bmtl.evaluate import eval_truth_set
 from bmtl.intervals import Interval, IntervalSet, fuse_runs
@@ -37,7 +38,7 @@ from bmtl.syntax import (
     census,
     print_formula,
 )
-from bmtl.traces import Fact, Trace
+from bmtl.traces import Fact, Trace, format_trace
 from conftest import (
     complement,
     corrupt_punctual_box,
@@ -400,3 +401,64 @@ class TestCampaigns:
         assert rewrite_module.RULES == RULES_AS_SHIPPED
         report = run_campaign(GenConfig(seed=42, trials=25), Punctual())
         assert report.failures == []
+
+
+class TestRunTrial:
+    @pytest.mark.parametrize("seed", [42, 7, 3])
+    @pytest.mark.parametrize("mode", [Punctual(), SingletonFree()], ids=["punctual", "mitl"])
+    def test_campaign_counts_its_trials(self, seed, mode):
+        cfg = GenConfig(seed=seed, trials=100)
+        report = run_campaign(cfg, mode)
+        statuses = []
+        for index in range(cfg.trials):
+            trial = run_trial(cfg, mode, index)
+            status = trial.verdict.status
+            if status == "equal" and trial.oracle_witness is not None:
+                status = "oracle_mismatch"
+            statuses.append(status)
+            if isinstance(mode, SingletonFree):  # each trial draws its own slacks
+                assert trial.mode.kappa is not None and trial.mode.lam is not None
+            else:
+                assert trial.mode is mode
+        assert statuses.count("empty_region") == report.empty_regions
+        assert statuses.count("equal") == report.passes
+        assert len(statuses) - report.empty_regions == report.trials
+        failed = [i for i, status in enumerate(statuses) if status not in ("equal", "empty_region")]
+        assert failed == [f.trial for f in report.failures]
+
+    def test_set_slacks_are_kept(self):
+        cfg = GenConfig(seed=3, trials=10)
+        for index in range(cfg.trials):
+            fixed = SingletonFree(F(2), F(1, 2))
+            assert run_trial(cfg, fixed, index).mode == fixed
+            # kappa is drawn first, then lambda, each only if it is unset
+            drawn = run_trial(cfg, SingletonFree(), index).mode
+            half = run_trial(cfg, SingletonFree(lam=F(1, 2)), index).mode
+            assert half == SingletonFree(drawn.kappa, F(1, 2))
+            assert run_trial(cfg, SingletonFree(kappa=F(2)), index).mode.kappa == 2
+
+    def test_trial_rebuilds_each_campaign_failure(self, monkeypatch):
+        corrupt_punctual_box(monkeypatch)
+        cfg = GenConfig(seed=42, trials=100)
+        report = run_campaign(cfg, Punctual())
+        assert len(report.failures) == 25
+        for failure in report.failures:
+            trial = run_trial(cfg, Punctual(), failure.trial)
+            assert trial.verdict.status == "not_equal"
+            assert failure.kind == "mismatch"
+            assert print_formula(trial.formula) == failure.formula
+            assert print_formula(trial.normalized) == failure.normalized
+            assert format_trace(trial.trace) == failure.trace
+            assert str(trial.verdict.first_diff) == failure.first_diff
+            assert str(trial.verdict.witness) == failure.witness
+
+    def test_trial_rebuilds_an_oracle_mismatch(self, monkeypatch):
+        open_every_closed_right_end(monkeypatch)
+        cfg = GenConfig(seed=42, trials=25)
+        failures = [f for f in run_campaign(cfg, Punctual()).failures if f.kind == "oracle_mismatch"]
+        assert failures
+        for failure in failures:
+            trial = run_trial(cfg, Punctual(), failure.trial)
+            assert trial.verdict.status == "equal"
+            assert str(trial.oracle_witness) == failure.witness
+            assert failure.first_diff is None
