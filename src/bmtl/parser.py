@@ -23,24 +23,26 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .errors import BmtlError, ParseError
 from .syntax import NODE_TABLE, And, Bound, Formula, Pred, Top
 from .traces import NAME
 
+# A token is a (kind, text, offset) tuple.  Its kind is its own text for
+# keywords and punctuation, else "int", "ident", or "end" for the empty
+# token that closes every token list.
 _TOKEN_RE = re.compile(
-    rf"""(?P<ws>[ \t\r]+)
-      | (?P<nl>\n)
-      | (?P<comment>\#[^\n]*)
+    rf"""[ \t\r\n]+ | \#[^\n]*
       | (?P<int>\d+)
       | (?P<ident>{NAME})
       | (?P<punct>[\[\](),&!/-])
+      | (?P<end>\Z)
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
-
-_KEYWORDS = {k.keyword for k in NODE_TABLE if k.keyword and k.keyword.isalpha()}
+_LITERALS = {k.keyword for k in NODE_TABLE if k.keyword} | set("[](),/-")
 # prefix operators ("!" and the bounded unary keywords) and the bounded
 # binary keywords, each mapped to its row of the node table
 _PREFIX_OPS = {k.keyword: k for k in NODE_TABLE if len(k.children) == 1}
@@ -51,89 +53,53 @@ _BINARY_OPS = {k.keyword: k for k in NODE_TABLE if len(k.children) == 2 and k.bo
 MAX_PAREN_DEPTH = 200
 
 
-class Token(NamedTuple):
-    kind: str  # "int", "ident", "kw", or the punct character itself
-    text: str
-    line: int
-    column: int
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of text[offset], for error messages."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str) -> list[Token]:
-    tokens: list[Token] = []
-    line, line_start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(
-                f"unexpected character {text[pos]!r}", line, pos - line_start + 1
-            )
-        col = pos - line_start + 1
-        pos = m.end()
-        if m.lastgroup == "nl":
-            line += 1
-            line_start = pos
-        elif m.lastgroup in ("ws", "comment"):
-            pass
-        elif m.lastgroup == "int":
-            tokens.append(Token("int", m.group(), line, col))
-        elif m.lastgroup == "ident":
-            kind = "kw" if m.group() in _KEYWORDS else "ident"
-            tokens.append(Token(kind, m.group(), line, col))
-        else:
-            tokens.append(Token(m.group(), m.group(), line, col))
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastgroup
+        if group is None:  # whitespace or a comment
+            continue
+        word = m.group()
+        if group == "bad":
+            raise ParseError(f"unexpected character {word!r}", *_position(text, m.start()))
+        tokens.append((word if word in _LITERALS else group, word, m.start()))
     return tokens
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], text: str):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.pos = 0
         self.paren_depth = 0
-        # final position for end-of-input diagnostics
-        nlines = text.count("\n") + 1
-        last = text.rsplit("\n", 1)[-1]
-        self.end = (nlines, len(last) + 1)
 
-    def peek(self) -> Optional[Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def next(self) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", *self.end)
-        self.pos += 1
-        return tok
-
-    def expect(self, kind: str, what: str) -> Token:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(f"expected {what}, found end of input", *self.end)
-        if tok.kind != kind:
-            raise ParseError(f"expected {what}, found {tok.text!r}", tok.line, tok.column)
-        self.pos += 1
-        return tok
+    def take(self, kind: str, what: Optional[str] = None) -> Optional[tuple[str, str, int]]:
+        """Consume and return the next token if it is of this kind.  Else
+        return None or, when ``what`` names the expected token, raise."""
+        tok = self.tokens[self.pos]
+        if tok[0] == kind:
+            self.pos += 1
+            return tok
+        if what is None:
+            return None
+        found = "end of input" if tok[0] == "end" else repr(tok[1])
+        raise ParseError(f"expected {what}, found {found}", *_position(self.text, tok[2]))
 
     def formula(self) -> Formula:
         node = self.unary()
-        while True:
-            tok = self.peek()
-            if tok is not None and tok.kind == "&":
-                self.next()
-                node = And(node, self.unary())
-            else:
-                return node
+        while self.take("&"):
+            node = And(node, self.unary())
+        return node
 
     def unary(self) -> Formula:
         prefix = []
-        while True:
-            tok = self.peek()
-            if tok is None:
-                raise ParseError("expected a formula, found end of input", *self.end)
-            kind = _PREFIX_OPS.get(tok.text) if tok.kind in ("kw", "!") else None
-            if kind is None:
-                break
-            self.next()
+        while (kind := _PREFIX_OPS.get(self.tokens[self.pos][0])) is not None:
+            self.pos += 1
             prefix.append((kind, self.bound() if kind.bounded else None))
         node = self.atom()
         for kind, bound in reversed(prefix):
@@ -141,75 +107,63 @@ class _Parser:
         return node
 
     def atom(self) -> Formula:
-        tok = self.next()
-        if tok.kind == "kw" and tok.text == "true":
+        if self.take("true"):
             return Top()
-        if tok.kind == "ident":
-            return Pred(tok.text)
-        if tok.kind == "(":
-            if self.paren_depth == MAX_PAREN_DEPTH:
-                raise ParseError(
-                    f"parentheses nested deeper than {MAX_PAREN_DEPTH}", tok.line, tok.column
-                )
-            self.paren_depth += 1
-            left = self.formula()
-            nxt = self.peek()
-            if nxt is not None and nxt.kind == "kw" and nxt.text in _BINARY_OPS:
-                self.next()
-                bound = self.bound()
-                left = _BINARY_OPS[nxt.text].make((left, self.formula()), bound)
-            self.expect(")", "')'")
-            self.paren_depth -= 1
-            return left
-        raise ParseError(f"expected a formula, found {tok.text!r}", tok.line, tok.column)
+        paren = self.take("(")
+        if paren is None:
+            return Pred(self.take("ident", "a formula")[1])
+        if self.paren_depth == MAX_PAREN_DEPTH:
+            message = f"parentheses nested deeper than {MAX_PAREN_DEPTH}"
+            raise ParseError(message, *_position(self.text, paren[2]))
+        self.paren_depth += 1
+        left = self.formula()
+        binary = _BINARY_OPS.get(self.tokens[self.pos][0])
+        if binary is not None:
+            self.pos += 1
+            bound = self.bound()
+            left = binary.make((left, self.formula()), bound)
+        self.take(")", "')'")
+        self.paren_depth -= 1
+        return left
 
     def bound(self) -> Bound:
-        opening = self.expect("[", "'['")
+        opening = self.take("[", "'['")[2]
         lo = self.rational()
-        self.expect(",", "','")
+        self.take(",", "','")
         hi = self.rational()
-        self.expect("]", "']'")
+        self.take("]", "']'")
         try:
             return Bound(lo, hi)
         except BmtlError as e:
-            raise type(e)(
-                f"{e} (bound at line {opening.line}, column {opening.column})"
-            ) from None
+            line, column = _position(self.text, opening)
+            raise type(e)(f"{e} (bound at line {line}, column {column})") from None
 
     def rational(self) -> Fraction:
-        sign = 1
-        tok = self.peek()
-        if tok is not None and tok.kind == "-":
-            self.next()
-            sign = -1
-        num = self.expect("int", "an integer")
-        value = Fraction(self.integer(num))
-        tok = self.peek()
-        if tok is not None and tok.kind == "/":
-            self.next()
-            den = self.expect("int", "a denominator")
+        sign = -1 if self.take("-") else 1
+        value = Fraction(self.integer(self.take("int", "an integer")))
+        if self.take("/"):
+            den = self.take("int", "a denominator")
             d = self.integer(den)
             if d == 0:
-                raise ParseError("zero denominator", den.line, den.column)
+                raise ParseError("zero denominator", *_position(self.text, den[2]))
             value /= d
         return sign * value
 
-    @staticmethod
-    def integer(tok: Token) -> int:
+    def integer(self, tok: tuple[str, str, int]) -> int:
         try:
-            return int(tok.text)
+            return int(tok[1])
         except ValueError:  # only a number past the int conversion limit gets here
             limit = sys.get_int_max_str_digits()
-            raise ParseError(f"number longer than {limit} digits", tok.line, tok.column) from None
+            raise ParseError(
+                f"number longer than {limit} digits", *_position(self.text, tok[2])
+            ) from None
 
 
 def parse_formula(text: str) -> Formula:
     """Parse concrete syntax into an AST; raises ParseError and friends."""
-    parser = _Parser(_tokenize(text), text)
+    parser = _Parser(text)
     node = parser.formula()
-    trailing = parser.peek()
-    if trailing is not None:
-        raise ParseError(
-            f"trailing input {trailing.text!r}", trailing.line, trailing.column
-        )
+    kind, word, offset = parser.tokens[parser.pos]
+    if kind != "end":
+        raise ParseError(f"trailing input {word!r}", *_position(text, offset))
     return node

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bmtl.cli as cli
-from bmtl.errors import BmtlError
+from bmtl.errors import BmtlError, ParseError
 from bmtl.parser import parse_formula
 from bmtl.syntax import print_formula
 from bmtl.traces import format_trace, parse_trace
@@ -26,7 +26,7 @@ def _token_text(tokens):
 
 _FORMULA_TOKENS = (
     "p", "q", "true", "!", "&", "(", ")", " ", "U", "S", "bplus", "bminus", "dplus",
-    "dminus", "[", "]", ",", "/", "-", "0", "1", "2", "7", "99999999999999999999",
+    "dminus", "[", "]", ",", "/", "-", "0", "1", "2", "7", "99999999999999999999", "\n", "#",
 )
 _TRACE_TOKENS = (
     "horizon", "p", "q", "@", "[", "]", ",", "/", "-", " ", "\n", "#", "0", "1", "3",
@@ -59,6 +59,13 @@ trace_files = st.one_of(
 def test_parse_formula_raises_only_bmtl_errors(text):
     try:
         parse_formula(text)
+    except ParseError as e:
+        # a position names a place in the text: a line it has, and a
+        # column at most one past that line's end
+        if e.line is not None:
+            lines = text.split("\n")
+            assert 1 <= e.line <= len(lines), (e.line, len(lines))
+            assert e.column is None or 1 <= e.column <= len(lines[e.line - 1]) + 1, e.column
     except BmtlError:
         pass
 

@@ -24,10 +24,23 @@ from fractions import Fraction as F
 import pytest
 
 import bmtl
+from bmtl.errors import ParseError
 from bmtl.evaluate import eval_truth_set
 from bmtl.parser import parse_formula
 from bmtl.rewrite import Punctual, SingletonFree, normalize
-from bmtl.syntax import Bound, BoxPlus, DiaMinus, DiaPlus, Pred, census, print_formula, scope
+from bmtl.syntax import (
+    And,
+    Bound,
+    BoxMinus,
+    BoxPlus,
+    DiaMinus,
+    DiaPlus,
+    Formula,
+    Pred,
+    census,
+    print_formula,
+    scope,
+)
 from bmtl.traces import parse_trace
 
 N = 400
@@ -139,6 +152,49 @@ def test_chain_analysis_is_linear_in_depth(work):
     def make_call(n):
         f = box_chain(n)
         return lambda: work(f)
+
+    assert_linear(make_call, DEPTHS)
+
+
+def alternating_chain(depth: int) -> Formula:
+    """`depth` boxes, bplus[1,2] and bminus[1,2] in turn, each over the
+    conjunction of the level below with q."""
+    node, q = Pred(f"p{next(_LEAVES)}"), Pred("q")
+    for i in range(depth):
+        node = (BoxPlus, BoxMinus)[i % 2](BOX, And(node, q))
+    return node
+
+
+def box_conjunction(width: int) -> Formula:
+    """A balanced conjunction of `width` boxes bplus[1,2], each over a
+    predicate of its own."""
+    nodes = [BoxPlus(BOX, Pred(f"p{next(_LEAVES)}")) for _ in range(width)]
+    while len(nodes) > 1:
+        pairs = [And(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = pairs + nodes[2 * len(pairs):]
+    return nodes[0]
+
+
+@pytest.mark.parametrize("shape", [alternating_chain, box_conjunction])
+@pytest.mark.parametrize("mode", [Punctual(), SingletonFree()], ids=["punctual", "mitl"])
+def test_normalize_is_linear_in_size(mode, shape):
+    def make_call(n):
+        f = shape(n)
+        return lambda: normalize(f, mode)
+
+    assert_linear(make_call, DEPTHS)
+
+
+@pytest.mark.parametrize("ending", ["", " &\n"], ids=["well-formed", "cut-short"])
+def test_parse_formula_is_linear_in_width(ending):
+    # a flat conjunction p0 & p1 & ...; cut short, it ends in one
+    # ParseError whose position is computed once
+    def make_call(n):
+        leaf = next(_LEAVES)
+        text = " & ".join(f"p{leaf}_{i}" for i in range(n)) + ending
+        if ending:
+            return lambda: pytest.raises(ParseError, parse_formula, text)
+        return lambda: parse_formula(text)
 
     assert_linear(make_call, DEPTHS)
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import bmtl.syntax as syntax_module
-from bmtl.errors import InvertedBoundError, NegativeBoundError, ParseError
+from bmtl.errors import BmtlError, InvertedBoundError, NegativeBoundError, ParseError
 from bmtl.parser import MAX_PAREN_DEPTH, parse_formula
 from bmtl.rewrite import SingletonFree, normalize
 from bmtl.syntax import (
@@ -130,6 +130,30 @@ class TestParseErrors:
         with pytest.raises(ParseError) as exc:
             parse_formula("p &\n& q")
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "text,error,message",
+        [
+            ("p &\n  # note\n", ParseError,
+             "expected a formula, found end of input at line 3, column 1"),
+            ("p &\n  # note\n  )", ParseError, "expected a formula, found ')' at line 3, column 3"),
+            ("(p & q\n# open", ParseError, "expected ')', found end of input at line 2, column 7"),
+            ("bplus[1,3]\n  @ p", ParseError, "unexpected character '@' at line 2, column 3"),
+            ("p\n\tq", ParseError, "trailing input 'q' at line 2, column 2"),
+            ("dplus[1,\n 1/0] p", ParseError, "zero denominator at line 2, column 4"),
+            ("dplus[\n3,2] p", InvertedBoundError,
+             "bound [3,2] is inverted (bound at line 1, column 6)"),
+            ("p\r\n& $", ParseError, "unexpected character '$' at line 2, column 3"),
+            # the whole text is tokenized first: a bad character anywhere
+            # wins over an earlier grammar error
+            ("p & & $", ParseError, "unexpected character '$' at line 1, column 7"),
+        ],
+    )
+    def test_error_message_and_position(self, text, error, message):
+        with pytest.raises(BmtlError) as exc:
+            parse_formula(text)
+        assert type(exc.value) is error
+        assert str(exc.value) == message
 
     def test_inverted_bound_keeps_precise_type(self):
         with pytest.raises(InvertedBoundError) as exc:
