@@ -39,9 +39,10 @@ pass, and nothing is cached: the formula is hash-consed, so each
 predicate is one node and the fold reads its base once.  The horizon
 and each bound are coded at L once.  Every clause is then a kernel
 sweep over ints: shifting time by a bound endpoint b adds 2bL to a
-code, so no endpoint flag, Fraction or object is touched until the
-result, intersected with ``within``'s codes if given, is decoded once
-at exit into an IntervalSet with Fraction ends.  This is exact: each
+code, so no endpoint flag, Fraction or object is touched.  The result,
+intersected with ``within``'s codes if given, is wrapped at exit as an
+IntervalSet over those codes and L: it prints from the ints, and
+builds Fraction ends only when its parts are read.  This is exact: each
 clause only compares codes and adds shifts to them, so it commutes
 with scaling all of time by L > 0, and no rounding and no float enters.
 

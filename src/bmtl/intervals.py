@@ -22,17 +22,20 @@ and last atoms, and the endpoint flags drop out of every operation:
   canonical list        lo_i <= hi_i and hi_i + 1 < lo_(i+1)
 
 The kernel below works on such lists of ints and never mutates its
-arguments; it is the only set algebra.  :class:`IntervalSet` is a value:
-its canonical-form check, point query, iteration and text.
-:mod:`bmtl.evaluate` fuses a predicate's spans into codes and stays in
-codes from the trace to its result, clipped to a caller's region before
-the one decode; no bmtl module but this one and that one sees them.
+arguments; it is the only set algebra.  :class:`IntervalSet` is a value
+over a canonical list and its scale: its canonical-form check, point
+query, iteration and text; only a read of its ``parts`` builds Fraction
+ends.  :mod:`bmtl.evaluate` stays in codes from the trace to its result,
+which ``decode`` wraps as it is; no bmtl module but this one and that
+one sees them.  Across scales, equality and hash take each set at its
+least scale: the scale over the gcd of the scale and every end.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence, Union
@@ -116,24 +119,16 @@ _set = object.__setattr__
 
 
 def decode(codes: Sequence[int], scale: int) -> "IntervalSet":
-    """The set of a canonical code list at scale, with Fraction ends.
-
-    An even code 2x is the closed end x; an odd low code 2x+1 and an odd
-    high code 2x-1 are the open end x.  Canonical codes give canonical
-    parts, so neither the parts nor the set are checked again.
-    """
-    parts = []
-    it = iter(codes)
-    for lo, hi in zip(it, it):
-        p = _new(Interval)
-        _set(p, "lo", Fraction(lo >> 1, scale))
-        _set(p, "hi", Fraction((hi + 1) >> 1, scale))
-        _set(p, "lo_closed", not lo & 1)
-        _set(p, "hi_closed", not hi & 1)
-        parts.append(p)
+    """The set of a canonical code list at scale; nothing is checked or built."""
     s = _new(IntervalSet)
-    _set(s, "parts", tuple(parts))
+    s._codes, s._scale = tuple(codes), scale
     return s
+
+
+def ratio_text(v: int, scale: int) -> str:
+    """v / scale as str(Fraction(v, scale)) spells it, with no Fraction built."""
+    g = math.gcd(v, scale)
+    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
 
 
 def fuse_runs(runs: Iterable[tuple[int, int]]) -> list[int]:
@@ -209,34 +204,76 @@ def _scale(parts: Iterable[Interval]) -> int:
 # ------------------------------------------------------------------ sets
 
 
-@dataclass(frozen=True)
 class IntervalSet:
-    """Canonical finite union of intervals: a value, with no operations.
-
-    Construct via :func:`coalesce` unless the parts are already
-    canonical; the constructor checks and rejects non-canonical input.
+    """Canonical finite union of intervals: a value, with no operations,
+    kept as its atom codes at a scale.  Construct via :func:`coalesce`
+    unless the parts are already canonical; the constructor checks and
+    rejects non-canonical input.
     """
 
-    parts: tuple[Interval, ...] = ()
+    __slots__ = ("_codes", "_scale")
 
-    def __post_init__(self):
-        if len(self.parts) > 1:
-            codes = encode(self.parts, _scale(self.parts))
-            if any(codes[k] + 1 >= codes[k + 1] for k in range(1, len(codes) - 1, 2)):
-                raise ValueError("parts not in canonical form")
+    def __init__(self, parts: tuple[Interval, ...] = ()):
+        scale = _scale(parts)
+        codes = encode(parts, scale)
+        if any(codes[k] + 1 >= codes[k + 1] for k in range(1, len(codes) - 1, 2)):
+            raise ValueError("parts not in canonical form")
+        self._codes, self._scale = tuple(codes), scale
+
+    @property
+    def parts(self) -> tuple[Interval, ...]:
+        """The parts, with Fraction ends, built anew on each read."""
+        parts, scale = [], self._scale
+        it = iter(self._codes)
+        for lo, hi in zip(it, it):
+            p = _new(Interval)
+            _set(p, "lo", Fraction(lo >> 1, scale))
+            _set(p, "hi", Fraction((hi + 1) >> 1, scale))
+            _set(p, "lo_closed", not lo & 1)
+            _set(p, "hi_closed", not hi & 1)
+            parts.append(p)
+        return tuple(parts)
+
+    def _least(self) -> tuple[int, tuple[int, ...]]:
+        """The scale and codes at the least scale."""
+        # each code's end x, as parts reads it: lo >> 1, (hi + 1) >> 1
+        ends = [(c + (k & 1)) >> 1 for k, c in enumerate(self._codes)]
+        g = math.gcd(self._scale, *ends)
+        return self._scale // g, tuple(2 * (x // g) + c - 2 * x for x, c in zip(ends, self._codes))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, IntervalSet):
+            return NotImplemented
+        if self._scale == other._scale:
+            return self._codes == other._codes
+        return self._least() == other._least()
+
+    def __hash__(self) -> int:
+        return hash(self._least())
 
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.parts)
 
     def __bool__(self) -> bool:
-        return bool(self.parts)
+        return bool(self._codes)
 
     def contains_point(self, t: RationalLike) -> bool:
-        t = rat(t)
-        return any(p.contains(t) for p in self.parts)
+        # at scale L, t is in atom 2tL when tL is an int, else 2 floor(tL) + 1;
+        # it is in a run when the codes up to it end at a start, or on it
+        t, codes = rat(t), self._codes
+        x, r = divmod(t.numerator * self._scale, t.denominator)
+        atom = 2 * x + (r != 0)
+        k = bisect_right(codes, atom)
+        return k % 2 == 1 or (k > 0 and codes[k - 1] == atom)
 
     def __str__(self) -> str:
-        return "{" + ", ".join(str(p) for p in self.parts) + "}"
+        it, L = iter(self._codes), self._scale
+        return "{" + ", ".join(
+            f"{'[('[lo & 1]}{ratio_text(lo >> 1, L)},{ratio_text((hi + 1) >> 1, L)}{'])'[hi & 1]}"
+            for lo, hi in zip(it, it)) + "}"
+
+    def __repr__(self) -> str:
+        return f"IntervalSet(parts={self.parts!r})"
 
 
 def coalesce(raw: Iterable[Interval]) -> IntervalSet:

@@ -117,10 +117,11 @@ def oracle_first_difference(
     """
     if not tr.horizon.contains_interval(region):
         raise PointOutsideHorizonError(f"region {region} outside horizon {tr.horizon}")
-    ends = [region.lo, region.hi, *(x for p in truth.parts for x in (p.lo, p.hi))]
+    parts = truth.parts
+    ends = [region.lo, region.hi, *(x for p in parts for x in (p.lo, p.hi))]
     table, root = _truth_arrays(f, tr, ends, region)
     expected = 0
-    for p in truth.parts:
+    for p in parts:
         # an open end moves one grid index inward
         expected |= table.run(table.index(p.lo) + (not p.lo_closed),
                               table.index(p.hi) - (not p.hi_closed))

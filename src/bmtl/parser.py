@@ -11,6 +11,7 @@ Grammar (whitespace insignificant, ``#`` starts a line comment):
     binary   = formula ("S"|"U") bound formula
     bound    = "[" rational "," rational "]"
     rational = ["-"] INT ["/" INT]
+    INT      = one or more of the ASCII digits 0-9
 
 Since/until are only legal inside parentheses, so no precedence between
 "&" and the binary operators ever arises.  Conjunction associates to
@@ -34,7 +35,7 @@ from .traces import NAME
 # token that closes every token list.
 _TOKEN_RE = re.compile(
     rf"""[ \t\r\n]+ | \#[^\n]*
-      | (?P<int>\d+)
+      | (?P<int>[0-9]+)
       | (?P<ident>{NAME})
       | (?P<punct>[\[\](),&!/-])
       | (?P<end>\Z)

@@ -48,11 +48,12 @@ or a second horizon).  ``_scan`` is one findall over a text in
 ``format_trace``'s spelling: ASCII, a horizon line first, and every later
 line exactly ``NAME @ [R,R]``.  Any other text goes to ``_read_lines``,
 which cuts it up line by line, takes blank lines, comments, other spacing,
-other line breaks (``\\r``, ``\\x0c``, ``\\u2028``), NBSP and non-ASCII
-digits, and raises a missing or malformed horizon line itself.  The rest
-is done once, the same for both: the horizon is read, the columns are
-converted with ``map(int, ...)``, each distinct denominator once, the
-facts before the refused line are built, and then that line is raised.
+other line breaks (``\\r``, ``\\x0c``, ``\\u2028``) and NBSP, and raises a
+missing or malformed horizon line itself.  Numbers are ASCII digits in
+either.  The rest is done once, the same for both: the horizon is read,
+the columns are converted with ``map(int, ...)``, each distinct
+denominator once, the facts before the refused line are built, and then
+that line is raised.
 A zero denominator or a number past the int conversion limit fails the
 bulk conversion; ``_ends`` then converts fact by fact to name the first
 such fact, after the facts before it.  So each error is the first in the
@@ -70,11 +71,12 @@ from operator import gt, mul
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import FactOutsideHorizonError, MissingHorizonError, ParseError
-from .intervals import Interval, IntervalSet, coalesce
+from .intervals import Interval, IntervalSet, coalesce, ratio_text
 
 # The rational grammar of trace endpoints and of the CLI's rational
-# options: n or n/d, as two groups (numerator, then denominator or None).
-RATIONAL = r"(-?\d+)(?:/(\d+))?"
+# options: n or n/d in ASCII digits, as two groups (numerator, then
+# denominator or None).
+RATIONAL = r"(-?[0-9]+)(?:/([0-9]+))?"
 # The grammar of predicate names, in traces and in formulas.
 NAME = r"[A-Za-z][A-Za-z0-9_]*"
 _HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{RATIONAL}\s*,\s*{RATIONAL}\s*\]$")
@@ -301,16 +303,10 @@ def _read_lines(text: str):
     return *head, names, a, b, c, d, lines, refused
 
 
-def _ratio_text(v: int, scale: int) -> str:
-    """v / scale as str(Fraction(v, scale)) spells it, with no Fraction built."""
-    g = math.gcd(v, scale)
-    return str(v // g) if g == scale else f"{v // g}/{scale // g}"
-
-
 def format_trace(tr: Trace) -> str:
     """The trace's text, its facts in order, read from the spans."""
     scale = tr.scale
     lines = [f"horizon [{tr.horizon.lo},{tr.horizon.hi}]"]
-    lines += [f"{name} @ [{_ratio_text(lo, scale)},{_ratio_text(hi, scale)}]"
+    lines += [f"{name} @ [{ratio_text(lo, scale)},{ratio_text(hi, scale)}]"
               for name, lo, hi in tr._in_order()]
     return "\n".join(lines) + "\n"

@@ -32,8 +32,10 @@ class TestParse:
         assert code == 0
         assert json.loads(out) == {"ast": "(and (pred p) (pred q))"}
 
-    def test_syntax_error_exits_2(self, capsys):
-        code, out, err = run(capsys, "parse", "p &")
+    # a bound's numbers are ASCII digits: Arabic-Indic 3 and 4 are not
+    @pytest.mark.parametrize("text", ["p &", "bplus[\u0663,\u0664] p"])
+    def test_syntax_error_exits_2(self, capsys, text):
+        code, out, err = run(capsys, "parse", text)
         assert code == 2
         assert out == ""
         assert "error:" in err
@@ -183,6 +185,7 @@ class TestRewrite:
         ("rewrite", "--mode", "mitl", "--lambda", " 4/1 ", "bplus[1,2] p"),
         ("rewrite", "--mode", "mitl", "--kappa", "1/0", "bplus[1,2] p"),
         ("rewrite", "--mode", "mitl", "--kappa", "1" * 5000, "bplus[1,2] p"),
+        ("rewrite", "--mode", "mitl", "--kappa", "\u0661/\u0662", "bplus[1,2] p"),
         ("check", "--mode", "mitl", "--kappa", "1.5", "--trials", "1"),
         ("check", "--mode", "punctual", "--bound-max", "1e0", "--trials", "1"),
         ("check", "--mode", "punctual", "--horizon-length", "40.0", "--trials", "1"),
@@ -193,6 +196,7 @@ class TestRewrite:
         "lambda-spaces",
         "kappa-zero-denominator",
         "kappa-past-int-conversion-limit",
+        "kappa-arabic-indic-digits",
         "check-kappa-decimal",
         "bound-max-exponent",
         "horizon-decimal",
@@ -252,9 +256,11 @@ class TestEval:
         )
         assert code == 4
 
-    def test_malformed_trace_exits_2(self, capsys, tmp_path):
+    # the second is a horizon whose end is 10 in Arabic-Indic digits
+    @pytest.mark.parametrize("text", ["p @ [0,1]\n", "horizon [0,\u0661\u0660]\np @ [0,1]\n"])
+    def test_malformed_trace_exits_2(self, capsys, tmp_path, text):
         path = tmp_path / "bad.txt"
-        path.write_text("p @ [0,1]\n")
+        path.write_text(text, encoding="utf-8")
         code, _, err = run(capsys, "eval", "--trace", str(path), "p")
         assert code == 2
         assert "error:" in err

@@ -111,6 +111,16 @@ def test_clause_is_linear_in_trace_size(formula):
     assert_linear(make_call)
 
 
+def test_printing_a_truth_set_is_linear_in_its_parts():
+    f = parse_formula("dminus[1/3,1/2] p")
+
+    def make_call(n):
+        truth = eval_truth_set(f, parse_trace(trace_text(n)))
+        return lambda: str(truth)
+
+    assert_linear(make_call)
+
+
 @pytest.mark.parametrize("spelling", ["canonical", "respelled"])
 def test_parse_trace_is_linear_in_trace_size(spelling):
     # format_trace's spelling goes through the one-scan tokenizer; a

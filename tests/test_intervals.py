@@ -285,6 +285,35 @@ class TestIntegerTime:
             assert back == s
             assert all(type(x) is F for p in back.parts for x in (p.lo, p.hi))
 
+    @settings(max_examples=300)
+    @given(st.one_of(interval_sets_st(), st.lists(_mixed_intervals(), max_size=8).map(coalesce)),
+           st.integers(2, 60), fractions_st(lo=-40, hi=40))
+    def test_a_set_is_its_codes_at_any_scale(self, s, m, t):
+        # the same parts coded at their least scale and at m times it
+        parts = s.parts
+        scale = _lcm(parts)
+        least = decode(encode(parts, scale), scale)
+        wide = decode(encode(parts, m * scale), m * scale)
+        built = IntervalSet(parts)
+        assert least == wide == built and wide == least and built == wide
+        assert hash(least) == hash(wide) == hash(built)
+        for got in (least, wide, built):
+            assert got.parts == parts and tuple(got) == parts
+            assert str(got) == "{" + ", ".join(map(str, parts)) + "}"
+            assert bool(got) == bool(parts)
+            # each end, a point just inside or outside it, and t
+            step = F(1, 3 * m * scale)
+            for x in [t, *(e + d for p in parts for e in (p.lo, p.hi) for d in (-step, 0, step))]:
+                assert got.contains_point(x) == any(p.contains(x) for p in parts), x
+
+    def test_sets_that_differ_are_unequal_at_any_scale(self):
+        closed, half_open = iset(Interval(0, 1)), iset(Interval(0, 1, True, False))
+        wide = decode(encode(closed.parts, 6), 6)
+        assert wide == closed and wide != half_open and closed != half_open
+        assert wide != decode(encode(iset(Interval(0, F(7, 6))).parts, 6), 6)
+        assert decode([], 5) == IntervalSet() and not decode([], 5)
+        assert IntervalSet() != iset(Interval(0, 0))
+
     def test_adjacent_runs(self):
         # [0,1) and [1,2] share no point but leave none between them
         assert iset(Interval(0, 1, True, False), Interval(1, 2)) == iset(Interval(0, 2))

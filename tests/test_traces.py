@@ -17,6 +17,7 @@ from bmtl.errors import (
 )
 from bmtl.evaluate import eval_truth_set
 from bmtl.intervals import Interval, coalesce
+from bmtl.parser import parse_formula
 from bmtl.traces import Fact, Trace, format_trace, parse_trace
 from conftest import bounds_st, formulas_st, traces_st
 
@@ -160,7 +161,7 @@ class TestTextFormat:
 
 # ------------------------------------------------------- reference ingest
 
-_RAT = r"(-?\d+)(?:/(\d+))?"
+_RAT = r"(-?[0-9]+)(?:/([0-9]+))?"
 _REF_HORIZON_RE = re.compile(rf"^horizon\s*\[\s*{_RAT}\s*,\s*{_RAT}\s*\]$")
 _REF_FACT_RE = re.compile(rf"^([A-Za-z][A-Za-z0-9_]*)\s*@\s*\[\s*{_RAT}\s*,\s*{_RAT}\s*\]$")
 
@@ -417,10 +418,11 @@ def _odd_lines(draw, a, b):
         f"p @ [0,{_TOO_LONG}]", f"p @ [1/{_TOO_LONG},{b}]", f"horizon [{a},{_TOO_LONG}]",
         # malformed
         "p @ [1,2] x", "p @@ [1,2]", "p @ [1,]", "p @ [1, 2]", " p @ [1,2]",
+        f"p @ [{str(a).translate(digits)},{str(b).translate(digits)}]",
         # other spellings of valid lines
         "", "# note", f"p @ [{a},{b}]  # note", f"p\t@ [{a},{b}]", f"p @ [{a},{b}]\r",
         f"p @ [{a},{a}]\x0cq @ [{b},{b}]", f"p @ [{a},{a}]\u2028q @ [{b},{b}]",
-        f"p\xa0@ [{a},{b}]", f"p @ [{str(a).translate(digits)},{str(b).translate(digits)}]",
+        f"p\xa0@ [{a},{b}]",
     )))
 
 
@@ -579,6 +581,31 @@ class TestIntegerIngest:
         assert at_ingest <= 4, at_ingest
         assert len(tr.facts) == n
         assert built >= at_ingest + 2 * n
+
+    def test_evaluating_and_printing_build_no_fraction_per_part(self, monkeypatch):
+        n = 300
+        lines = ["horizon [-1,2000]"] + [
+            f"{'pq'[i % 2]} @ [{4 * i}/3,{4 * i + 1}/3]" for i in range(n)
+        ]
+        tr = parse_trace("\n".join(lines))
+        f = parse_formula("(dminus[1/5,1] p & !q)")
+        built = 0
+        original = F.__new__
+
+        def counted(cls, *args, **kwargs):
+            nonlocal built
+            built += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(F, "__new__", staticmethod(counted))
+        truth = eval_truth_set(f, tr)
+        text = str(truth)
+        at_print = built
+        assert at_print <= 4, at_print
+        # reading the parts builds their ends
+        parts = truth.parts
+        assert len(parts) == n // 2 and text == "{" + ", ".join(map(str, parts)) + "}"
+        assert built >= at_print + 2 * len(parts)
 
     def test_equality_and_hash_build_no_fact_and_no_fraction(self, monkeypatch):
         n = 2000
